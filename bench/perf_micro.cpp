@@ -8,6 +8,7 @@
 
 #include "benchmarks/arithmetic.hpp"
 #include "core/endurance.hpp"
+#include "fault/array.hpp"
 #include "fault/fault.hpp"
 #include "flow/runner.hpp"
 #include "flow/suite.hpp"
@@ -112,6 +113,32 @@ void BM_CrossbarExecute(benchmark::State& state) {
                           static_cast<std::int64_t>(compiled.num_instructions()));
 }
 BENCHMARK(BM_CrossbarExecute)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+
+// The fault-model kernel behind the same public evaluate: one execution per
+// iteration on one long-lived FaultArray (unlimited endurance, so the array
+// reaches a steady state instead of wearing out mid-run). Arg 0 = stuck-at
+// cells, 1 = per-read drift.
+void BM_CrossbarExecuteFault(benchmark::State& state) {
+  const auto& graph = adder_graph(64);
+  const auto compiled =
+      plim::PlimCompiler(plim::CompilerOptions{}).compile(graph);
+  const bool drift = state.range(0) == 1;
+  const auto sweep = fault::make_sweep(util::PolicySpec{
+      drift ? "drift" : "stuck", {{"rate", "0.001"}, {"endurance", "0"}}});
+  fault::FaultArray array(compiled.program.num_cells(), sweep.profile, 1);
+  util::Xoshiro256 rng(1);
+  std::vector<std::uint64_t> pi_values(graph.num_pis());
+  for (auto& word : pi_values) {
+    word = rng();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(plim::evaluate(compiled.program, pi_values, &array));
+  }
+  state.SetLabel(drift ? "drift" : "stuck");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(compiled.num_instructions()));
+}
+BENCHMARK(BM_CrossbarExecuteFault)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_MigSimulate(benchmark::State& state) {
   const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "mig/simulate.hpp"
 #include "plim/controller.hpp"
 #include "plim/rram_array.hpp"
 #include "util/error.hpp"
@@ -39,21 +38,9 @@ std::uint64_t measured_executions_until_failure_on(plim::RramArray& array,
                                                    const mig::Mig& reference,
                                                    std::uint64_t max_runs,
                                                    std::uint64_t seed) {
-  require(program.pi_cells().size() == reference.num_pis() &&
-              program.po_cells().size() == reference.num_pos(),
-          "measured_executions_until_failure: profile mismatch");
   util::Xoshiro256 rng(seed);
-  std::vector<std::uint64_t> pi_values(reference.num_pis());
-  for (std::uint64_t run = 0; run < max_runs; ++run) {
-    for (auto& word : pi_values) {
-      word = rng();
-    }
-    const auto actual = plim::evaluate(program, pi_values, &array);
-    if (actual != mig::simulate(reference, pi_values)) {
-      return run;
-    }
-  }
-  return max_runs;
+  return plim::executions_until_divergence(program, reference, array, rng,
+                                           max_runs);
 }
 
 std::uint64_t measured_executions_until_failure(const plim::Program& program,

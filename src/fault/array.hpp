@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -21,6 +22,14 @@ namespace rlim::fault {
 /// index once and then work on protected base state directly (never back
 /// through the virtual public API, which expects logical indices).
 ///
+/// `execute` inlines the same per-access logic `read` and `write` use, in
+/// the same order per instruction (read A unless constant, read B unless
+/// constant, read Z, write Z), so a program run through it draws the fault
+/// stream exactly as one run instruction by instruction through
+/// PlimController::step. When no region drifts, its reads skip the stuck
+/// and region lookups: a non-drifting read returns the cell's value either
+/// way and draws nothing.
+///
 /// Determinism: all fault draws come from one Xoshiro256 stream seeded by
 /// the constructor, and the endurance-variability draw uses a decorrelated
 /// seed derived from the same value — two arrays built with equal arguments
@@ -33,6 +42,7 @@ class FaultArray final : public plim::RramArray {
   FaultArray(plim::Cell num_cells, const FaultProfile& profile,
              std::uint64_t seed, std::vector<bool> memory_cells = {});
 
+  void execute(std::span<const plim::Instruction> instructions) override;
   [[nodiscard]] std::uint64_t read(plim::Cell cell) const override;
   void write(plim::Cell cell, std::uint64_t value) override;
   void preload(plim::Cell cell, std::uint64_t value) override;
@@ -42,9 +52,6 @@ class FaultArray final : public plim::RramArray {
   [[nodiscard]] std::size_t failed_cell_count() const override;
   void reset_values() override;
 
-  /// Logical address space (base size() reports physical cells incl. spares).
-  [[nodiscard]] plim::Cell logical_size() const { return logical_; }
-
   [[nodiscard]] bool is_stuck(plim::Cell cell) const;
   [[nodiscard]] std::size_t stuck_cell_count() const;
   [[nodiscard]] std::uint64_t remapped_count() const { return remapped_; }
@@ -53,20 +60,32 @@ class FaultArray final : public plim::RramArray {
 
  private:
   void check_logical(plim::Cell cell) const;
-  [[nodiscard]] const RegionProfile& region_of(plim::Cell cell) const;
+  [[nodiscard]] const RegionProfile& region_of(plim::Cell cell) const {
+    return regions_[region_[cell]];
+  }
   /// Redirects `cell` to the next healthy spare; false when none remain.
   bool try_remap(plim::Cell cell);
+  /// The unchecked bodies of read and write, shared with `execute`. Draws
+  /// come from `rng` so the kernel can keep the stream in a local.
+  /// `kDrift = false` is the read for profiles where no region drifts: the
+  /// cell's value, stuck or not, with no draw.
+  template <bool kDrift>
+  std::uint64_t load(plim::Cell cell, util::Xoshiro256& rng);
+  void store(plim::Cell cell, std::uint64_t value, util::Xoshiro256& rng);
+  template <bool kDrift>
+  void run(std::span<const plim::Instruction> instructions);
 
   FaultProfile profile_;
-  plim::Cell logical_;
-  std::vector<bool> memory_cell_;
+  RegionProfile regions_[2];          // [0] logic-mode, [1] memory-mode
+  bool drift_;                        // some region disturbs reads
+  std::vector<std::uint8_t> region_;  // logical index -> regions_ index
   std::vector<std::uint8_t> stuck_;   // physical index; value latched in state
   std::vector<plim::Cell> forward_;   // logical -> physical
   plim::Cell next_spare_;
-  mutable util::Xoshiro256 rng_;      // mutable: read disturbance draws
+  util::Xoshiro256 rng_;
   std::uint64_t remapped_ = 0;
   std::uint64_t dropped_ = 0;
-  mutable std::uint64_t disturbed_ = 0;
+  std::uint64_t disturbed_ = 0;
 };
 
 }  // namespace rlim::fault

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "fault/array.hpp"
-#include "mig/simulate.hpp"
 #include "plim/controller.hpp"
 #include "sched/sched.hpp"
 #include "util/error.hpp"
@@ -44,20 +43,9 @@ TrialOutcome run_trial(const plim::Program& program, const mig::Mig& reference,
   util::Xoshiro256 inputs(
       util::mix_seed(util::mix_seed(spec.seed, kInputSalt), trial));
 
-  std::vector<std::uint64_t> pi_values(program.pi_cells().size());
-  std::uint64_t correct_runs = 0;
-  for (; correct_runs < spec.runs; ++correct_runs) {
-    for (auto& word : pi_values) {
-      word = inputs();
-    }
-    const auto got = plim::evaluate(program, pi_values, &array);
-    if (got != mig::simulate(reference, pi_values)) {
-      break;
-    }
-  }
-
   TrialOutcome outcome;
-  outcome.lifetime = correct_runs;
+  outcome.lifetime = plim::executions_until_divergence(program, reference, array,
+                                                       inputs, spec.runs);
   outcome.failed_cells = static_cast<std::uint64_t>(array.failed_cell_count());
   outcome.remapped = array.remapped_count();
   outcome.dropped_writes = array.dropped_writes();

@@ -1,15 +1,21 @@
 #include "mig/simulate.hpp"
 
+#include <memory>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace rlim::mig {
 
-std::vector<std::uint64_t> simulate_nodes(const Mig& mig,
-                                          std::span<const std::uint64_t> pi_values) {
+namespace {
+
+/// Fills every node word of `values` (num_nodes() of them): the constant
+/// node, the PIs, then the gates in topological order.
+void simulate_into(const Mig& mig, std::span<const std::uint64_t> pi_values,
+                   std::span<std::uint64_t> values) {
   require(pi_values.size() == mig.num_pis(),
           "simulate_nodes: PI value count mismatch");
-  std::vector<std::uint64_t> values(mig.num_nodes(), 0);
+  values[0] = 0;
   for (std::uint32_t pi = 0; pi < mig.num_pis(); ++pi) {
     values[pi + 1] = pi_values[pi];
   }
@@ -24,19 +30,43 @@ std::vector<std::uint64_t> simulate_nodes(const Mig& mig,
     const auto c = value_of(fanin[2]);
     values[gate] = (a & b) | (a & c) | (b & c);
   }
+}
+
+void extract_pos(const Mig& mig, std::span<const std::uint64_t> values,
+                 std::span<std::uint64_t> po_values) {
+  std::size_t i = 0;
+  for (const auto po : mig.pos()) {
+    const auto word = values[po.index()];
+    po_values[i++] = po.is_complemented() ? ~word : word;
+  }
+}
+
+}  // namespace
+
+std::vector<std::uint64_t> simulate_nodes(const Mig& mig,
+                                          std::span<const std::uint64_t> pi_values) {
+  std::vector<std::uint64_t> values(mig.num_nodes());
+  simulate_into(mig, pi_values, values);
   return values;
 }
 
 std::vector<std::uint64_t> simulate(const Mig& mig,
                                     std::span<const std::uint64_t> pi_values) {
-  const auto values = simulate_nodes(mig, pi_values);
-  std::vector<std::uint64_t> result;
-  result.reserve(mig.num_pos());
-  for (const auto po : mig.pos()) {
-    const auto word = values[po.index()];
-    result.push_back(po.is_complemented() ? ~word : word);
-  }
+  // Every node word is written before it is read, so the buffer skips
+  // zero-initialization.
+  const auto values = std::make_unique_for_overwrite<std::uint64_t[]>(mig.num_nodes());
+  simulate_into(mig, pi_values, {values.get(), mig.num_nodes()});
+  std::vector<std::uint64_t> result(mig.num_pos());
+  extract_pos(mig, {values.get(), mig.num_nodes()}, result);
   return result;
+}
+
+void simulate(const Mig& mig, std::span<const std::uint64_t> pi_values,
+              std::vector<std::uint64_t>& nodes, std::span<std::uint64_t> po_values) {
+  require(po_values.size() == mig.num_pos(), "simulate: PO buffer size mismatch");
+  nodes.resize(mig.num_nodes());
+  simulate_into(mig, pi_values, nodes);
+  extract_pos(mig, nodes, po_values);
 }
 
 std::uint64_t exhaustive_pattern(std::uint32_t pi, std::uint64_t chunk) {

@@ -20,6 +20,12 @@ std::vector<std::uint64_t> simulate_nodes(const Mig& mig,
 std::vector<std::uint64_t> simulate(const Mig& mig,
                                     std::span<const std::uint64_t> pi_values);
 
+/// Allocation-free form for repeated simulation: fills `nodes` (resized to
+/// num_nodes(), so a reused buffer allocates once) and writes the PO words
+/// into `po_values`, which must hold num_pos() words.
+void simulate(const Mig& mig, std::span<const std::uint64_t> pi_values,
+              std::vector<std::uint64_t>& nodes, std::span<std::uint64_t> po_values);
+
 /// PI word patterns for exhaustive simulation: chunk `chunk` of variable `pi`
 /// out of 2^num_pis rows, 64 rows per chunk. Variables 0..5 use the classic
 /// alternating masks; higher variables are constant per chunk.

@@ -413,7 +413,6 @@ private:
 
   CompileResult finish() {
     program_.set_num_cells(allocator_.num_cells());
-    program_.validate();
     CompileResult result;
     result.num_cells = allocator_.num_cells();
     result.write_stats = util::compute_stats(allocator_.write_counts());

@@ -7,8 +7,9 @@
 namespace rlim::plim {
 
 void PlimController::start(const Program& program) {
-  program.validate();
-  require(program.num_cells() <= array_->size(),
+  // Program keeps every reference below num_cells() by construction, so
+  // fitting the array is the only check a latch needs.
+  require(program.num_cells() <= array_->logical_size(),
           "PlimController: program does not fit the array");
   program_ = &program;
   pc_ = 0;
@@ -17,16 +18,13 @@ void PlimController::start(const Program& program) {
 
 void PlimController::execute(RramArray& array, const Instruction& instruction) {
   const auto resolve = [&](Operand operand) -> std::uint64_t {
-    if (operand.is_constant()) {
-      return operand.constant_value() ? ~0ULL : 0ULL;
-    }
-    return array.read(operand.cell_index());
+    return operand.is_constant() ? constant_word(operand)
+                                 : array.read(operand.cell_index());
   };
   const auto a = resolve(instruction.a);
   const auto not_b = ~resolve(instruction.b);
   const auto z = array.read(instruction.z);
-  // Z ← ⟨A B̄ Z⟩
-  array.write(instruction.z, (a & not_b) | (a & z) | (not_b & z));
+  array.write(instruction.z, rm3(a, not_b, z));
 }
 
 bool PlimController::step() {
@@ -42,12 +40,14 @@ bool PlimController::step() {
 
 std::size_t PlimController::run() {
   require(program_ != nullptr, "PlimController::run: no program latched");
-  std::size_t executed = 0;
-  while (state_ == State::Running) {
-    ++executed;
-    step();
+  if (state_ != State::Running) {
+    return 0;
   }
-  return executed;
+  const auto remaining = program_->instructions().subspan(pc_);
+  array_->execute(remaining);
+  pc_ = program_->size();
+  state_ = State::Done;
+  return remaining.size();
 }
 
 std::size_t PlimController::run(const Program& program) {
@@ -55,28 +55,78 @@ std::size_t PlimController::run(const Program& program) {
   return run();
 }
 
+namespace {
+
+void require_pi_count(const Program& program,
+                      std::span<const std::uint64_t> pi_values) {
+  require(pi_values.size() == program.pi_cells().size(),
+          "evaluate: PI value count mismatch");
+}
+
+/// One execution on `target`: PIs preloaded, the instruction sequence as one
+/// RramArray::execute call, POs read out into `po_values`.
+void execute_once(const Program& program, std::span<const std::uint64_t> pi_values,
+                  RramArray& target, std::span<std::uint64_t> po_values) {
+  const auto pi_cells = program.pi_cells();
+  for (std::size_t i = 0; i < pi_values.size(); ++i) {
+    target.preload(pi_cells[i], pi_values[i]);
+  }
+  target.execute(program.instructions());
+  const auto po_cells = program.po_cells();
+  for (std::size_t i = 0; i < po_cells.size(); ++i) {
+    po_values[i] = target.read(po_cells[i]);
+  }
+}
+
+/// `evaluate` on a caller array (reset first, wear kept) into a caller
+/// buffer of one word per PO.
+void evaluate_on(const Program& program, std::span<const std::uint64_t> pi_values,
+                 RramArray& array, std::span<std::uint64_t> po_values) {
+  require_pi_count(program, pi_values);
+  require(program.num_cells() <= array.logical_size(), "evaluate: array too small");
+  array.reset_values();
+  execute_once(program, pi_values, array, po_values);
+}
+
+}  // namespace
+
 std::vector<std::uint64_t> evaluate(const Program& program,
                                     std::span<const std::uint64_t> pi_values,
                                     RramArray* array) {
-  require(pi_values.size() == program.pi_cells().size(),
-          "evaluate: PI value count mismatch");
-  RramArray local(program.num_cells());
-  RramArray& target = array != nullptr ? *array : local;
+  std::vector<std::uint64_t> result(program.po_cells().size());
   if (array != nullptr) {
-    require(target.size() >= program.num_cells(), "evaluate: array too small");
-    target.reset_values();
+    evaluate_on(program, pi_values, *array, result);
+    return result;
   }
-  for (std::size_t i = 0; i < pi_values.size(); ++i) {
-    target.preload(program.pi_cells()[i], pi_values[i]);
-  }
-  PlimController controller(target);
-  controller.run(program);
-  std::vector<std::uint64_t> result;
-  result.reserve(program.po_cells().size());
-  for (const auto cell : program.po_cells()) {
-    result.push_back(target.read(cell));
-  }
+  require_pi_count(program, pi_values);
+  RramArray local(program.num_cells());
+  execute_once(program, pi_values, local, result);
   return result;
+}
+
+std::uint64_t executions_until_divergence(const Program& program,
+                                          const mig::Mig& reference,
+                                          RramArray& array, util::Xoshiro256& inputs,
+                                          std::uint64_t max_runs) {
+  require(program.pi_cells().size() == reference.num_pis() &&
+              program.po_cells().size() == reference.num_pos(),
+          "executions_until_divergence: program and reference MIG disagree on "
+          "the PI/PO profile");
+  std::vector<std::uint64_t> pi_values(reference.num_pis());
+  std::vector<std::uint64_t> got(reference.num_pos());
+  std::vector<std::uint64_t> expected(reference.num_pos());
+  std::vector<std::uint64_t> nodes;
+  for (std::uint64_t run = 0; run < max_runs; ++run) {
+    for (auto& word : pi_values) {
+      word = inputs();
+    }
+    evaluate_on(program, pi_values, array, got);
+    mig::simulate(reference, pi_values, nodes, expected);
+    if (got != expected) {
+      return run;
+    }
+  }
+  return max_runs;
 }
 
 bool program_matches_mig(const Program& program, const mig::Mig& mig,

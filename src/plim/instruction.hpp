@@ -60,6 +60,16 @@ struct Instruction {
   friend constexpr bool operator==(const Instruction&, const Instruction&) = default;
 };
 
+/// The word a constant operand drives onto its crossbar line (all 64 lanes).
+constexpr std::uint64_t constant_word(Operand operand) {
+  return operand.constant_value() ? ~0ULL : 0ULL;
+}
+
+/// Z ← ⟨A B̄ Z⟩ on 64 lanes, given the already-inverted B.
+constexpr std::uint64_t rm3(std::uint64_t a, std::uint64_t not_b, std::uint64_t z) {
+  return (a & not_b) | (a & z) | (not_b & z);
+}
+
 /// RM3(v, v̄, Z) = ⟨v v Z⟩ = v — writes constant `value` into Z.
 constexpr Instruction make_write_const(bool value, Cell z) {
   return Instruction{Operand::constant(value), Operand::constant(!value), z};

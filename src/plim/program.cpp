@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -9,8 +10,13 @@
 
 namespace rlim::plim {
 
+void Program::cover(Cell cell) {
+  require(cell != std::numeric_limits<Cell>::max(),
+          "Program: cell index out of range");
+  num_cells_ = std::max(num_cells_, cell + 1);
+}
+
 void Program::append(const Instruction& instruction) {
-  instructions_.push_back(instruction);
   Cell top = instruction.z;
   if (!instruction.a.is_constant()) {
     top = std::max(top, instruction.a.cell_index());
@@ -18,7 +24,8 @@ void Program::append(const Instruction& instruction) {
   if (!instruction.b.is_constant()) {
     top = std::max(top, instruction.b.cell_index());
   }
-  num_cells_ = std::max(num_cells_, top + 1);
+  cover(top);
+  instructions_.push_back(instruction);
 }
 
 void Program::set_num_cells(Cell count) {
@@ -27,13 +34,13 @@ void Program::set_num_cells(Cell count) {
 }
 
 void Program::bind_pi(Cell cell) {
+  cover(cell);
   pi_cells_.push_back(cell);
-  num_cells_ = std::max(num_cells_, cell + 1);
 }
 
 void Program::bind_po(Cell cell) {
+  cover(cell);
   po_cells_.push_back(cell);
-  num_cells_ = std::max(num_cells_, cell + 1);
 }
 
 Program Program::adopt_raw(RawProgram&& raw) {
@@ -191,7 +198,6 @@ Program Program::read(std::istream& is) {
   }
   require(seen_header, "Program::read: missing .plim header");
   program.set_num_cells(std::max(program.num_cells(), declared_cells));
-  program.validate();
   return program;
 }
 

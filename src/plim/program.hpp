@@ -17,9 +17,19 @@ namespace rlim::plim {
 /// pre-resident in their bound cells before execution starts (loading them is
 /// the data's ambient traffic, not the program's); every instruction then
 /// performs exactly one write to its destination cell.
+///
+/// Invariant: every cell a program references — instruction operands and
+/// destinations, PI and PO bindings — is below num_cells(). `append` and
+/// `bind_*` grow the cell space to cover what they add, `set_num_cells`
+/// never shrinks it below a reference, and `adopt_raw` rejects anything
+/// outside it, so the invariant holds by construction and `validate()` never
+/// fails on a Program. Execution relies on it: a program that fits an array
+/// (num_cells() <= RramArray::logical_size()) runs without per-access checks.
 class Program {
 public:
   /// Appends an instruction; grows the cell space to cover its references.
+  /// Throws rlim::Error on a cell index the cell space cannot cover
+  /// (the largest Cell value, whose successor wraps).
   void append(const Instruction& instruction);
 
   [[nodiscard]] std::span<const Instruction> instructions() const {
@@ -62,7 +72,8 @@ public:
   /// Human-readable listing, e.g. `0003: RM3(c[5], !c[2], c[7])`.
   [[nodiscard]] std::string disassemble() const;
 
-  /// Checks internal consistency (bindings within the cell space).
+  /// Checks the invariant above and throws rlim::Error on a violation; a
+  /// self-check for tests and tools, not needed before execution.
   void validate() const;
 
   /// Plain-text serialization:
@@ -77,6 +88,9 @@ public:
   [[nodiscard]] static Program read(std::istream& is);
 
 private:
+  /// Grows the cell space to include `cell`.
+  void cover(Cell cell);
+
   std::vector<Instruction> instructions_;
   std::vector<Cell> pi_cells_;
   std::vector<Cell> po_cells_;

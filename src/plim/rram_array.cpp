@@ -9,7 +9,11 @@
 namespace rlim::plim {
 
 RramArray::RramArray(Cell num_cells, RramConfig config)
-    : cells_(num_cells), config_(config) {
+    : RramArray(num_cells, num_cells, config) {}
+
+RramArray::RramArray(Cell num_cells, Cell logical_cells, RramConfig config)
+    : cells_(num_cells), logical_(logical_cells), config_(config) {
+  require(logical_ <= num_cells, "RramArray: logical cells exceed the array");
   require(config_.endurance_sigma >= 0.0,
           "RramArray: endurance_sigma must be non-negative");
   if (config_.endurance_limit == 0) {
@@ -45,6 +49,24 @@ void RramArray::write(Cell cell, std::uint64_t value) {
   }
   state.value = value;
   ++state.writes;
+}
+
+void RramArray::execute(std::span<const Instruction> instructions) {
+  CellState* const cells = cells_.data();
+  const auto load = [cells](Operand operand) {
+    return operand.is_constant() ? constant_word(operand)
+                                 : cells[operand.cell_index()].value;
+  };
+  for (const auto& instruction : instructions) {
+    const auto a = load(instruction.a);
+    const auto not_b = ~load(instruction.b);
+    auto& z = cells[instruction.z];
+    if (hard_failed(z)) {
+      continue;  // stuck at last value; wear counter also saturates
+    }
+    z.value = rm3(a, not_b, z.value);
+    ++z.writes;
+  }
 }
 
 void RramArray::preload(Cell cell, std::uint64_t value) {

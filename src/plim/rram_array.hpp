@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "plim/instruction.hpp"
@@ -27,22 +28,38 @@ struct RramConfig {
 /// Functional model of the RRAM crossbar array underneath PLiM.
 ///
 /// Values are 64-bit words so 64 input patterns evaluate in parallel.
-/// Every `write` increments the cell's wear counter; a cell that has reached
-/// the endurance limit becomes *stuck at its last value* (the common RRAM
-/// hard-failure mode) — further writes (counted or not) are silently
+/// Every counted write increments the cell's wear counter; a cell that has
+/// reached the endurance limit becomes *stuck at its last value* (the common
+/// RRAM hard-failure mode) — further writes (counted or not) are silently
 /// dropped, which makes failure observable as wrong program outputs rather
 /// than a crash.
 ///
-/// The mutating entry points and the failure predicate are virtual so fault
-/// models (fault::FaultArray) can overlay stuck-at cells, read disturbance,
-/// write variability, and spare-cell remapping while remaining a drop-in
-/// array for the controller and `plim::evaluate`.
+/// Programs run through one virtual hook, `execute`, called once per
+/// execution with the whole instruction sequence: the base class runs it as a
+/// tight loop over the flat cell vector, and fault models
+/// (fault::FaultArray) override it with an inlined overlay of stuck-at
+/// cells, read disturbance, write variability and spare-cell remapping. The
+/// per-cell `read`/`write`/`preload` entry points stay virtual with the same
+/// semantics one access at a time: PlimController::step, the PI preload and
+/// the PO read-out go through them.
 class RramArray {
 public:
   explicit RramArray(Cell num_cells, RramConfig config = {});
   virtual ~RramArray() = default;
 
+  /// Physical cells, including any a subclass holds back (spares).
   [[nodiscard]] Cell size() const { return static_cast<Cell>(cells_.size()); }
+  /// Cells a program may address: size() minus the cells a subclass holds
+  /// back. Callers check `program.num_cells() <= logical_size()` once per
+  /// execution; `execute` relies on it.
+  [[nodiscard]] Cell logical_size() const { return logical_; }
+
+  /// Runs the RM3 sequence in order: per instruction, read A and B (unless
+  /// constant) and Z, then one counted write of ⟨A B̄ Z⟩ to Z — exactly the
+  /// accesses PlimController::execute makes through read/write. Every cell
+  /// the instructions reference must be below logical_size(); the kernel
+  /// does not re-check indices.
+  virtual void execute(std::span<const Instruction> instructions);
 
   [[nodiscard]] virtual std::uint64_t read(Cell cell) const;
 
@@ -84,6 +101,9 @@ protected:
     std::uint64_t limit = 0;  // 0 = unlimited
   };
 
+  /// For subclasses that address fewer cells than they hold.
+  RramArray(Cell num_cells, Cell logical_cells, RramConfig config);
+
   void check(Cell cell) const;
 
   /// Direct cell-state access for fault-model subclasses, which keep their
@@ -99,6 +119,7 @@ protected:
 
 private:
   std::vector<CellState> cells_;
+  Cell logical_;
   RramConfig config_;
 };
 

@@ -240,6 +240,80 @@ TEST(FaultArray, RejectsBadMemoryMask) {
   EXPECT_THROW(fault::FaultArray(4, {}, 1, std::vector<bool>(3, false)), Error);
 }
 
+TEST(FaultArray, ExecuteMatchesPerInstructionSteps) {
+  // Differential: the inlined kernel against PlimController::step's virtual
+  // read/write path, on two identically seeded arrays with every fault
+  // mechanism and remapping active. Equal cells, wear and counters mean the
+  // kernel draws the fault stream in the same order. Odd seeds run without
+  // drift, which the kernel reads through a draw-free path.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const bool drift = seed % 2 == 0;
+    fault::FaultProfile profile;
+    profile.logic = {.stuck_rate = 0.05,
+                     .wear_stuck_rate = 0.01,
+                     .drift_rate = drift ? 0.01 : 0.0,
+                     .write_fail_rate = 0.02,
+                     .wear_per_write = 2};
+    profile.memory = {.stuck_rate = 0.02, .drift_rate = drift ? 0.03 : 0.0};
+    profile.endurance = 60;
+    profile.sigma = 0.5;
+    profile.repair = fault::Repair::Remap;
+    profile.spares = 6;
+    const auto program = test::random_program(seed, 32, 250, 5, 4);
+    std::vector<bool> memory(program.num_cells(), false);
+    for (const auto cell : program.pi_cells()) {
+      memory[cell] = true;
+    }
+    fault::FaultArray kernel(program.num_cells(), profile, seed, memory);
+    fault::FaultArray stepped(program.num_cells(), profile, seed, memory);
+    util::Xoshiro256 rng(seed);
+    for (int run = 0; run < 6; ++run) {
+      kernel.reset_values();
+      stepped.reset_values();
+      for (const auto cell : program.pi_cells()) {
+        const auto word = rng();
+        kernel.preload(cell, word);
+        stepped.preload(cell, word);
+      }
+      kernel.execute(program.instructions());
+      plim::PlimController controller(stepped);
+      controller.start(program);
+      while (controller.state() == plim::PlimController::State::Running) {
+        controller.step();
+      }
+      ASSERT_EQ(kernel.write_counts(), stepped.write_counts()) << seed;
+      ASSERT_EQ(kernel.disturbed_reads(), stepped.disturbed_reads()) << seed;
+      ASSERT_EQ(kernel.dropped_writes(), stepped.dropped_writes()) << seed;
+      ASSERT_EQ(kernel.remapped_count(), stepped.remapped_count()) << seed;
+      ASSERT_EQ(kernel.stuck_cell_count(), stepped.stuck_cell_count()) << seed;
+      // Reads draw drift too, in the same order on both arrays.
+      for (plim::Cell cell = 0; cell < program.num_cells(); ++cell) {
+        ASSERT_EQ(kernel.read(cell), stepped.read(cell)) << seed << " " << cell;
+      }
+    }
+    EXPECT_EQ(kernel.disturbed_reads() > 0, drift) << seed;
+    EXPECT_GT(kernel.remapped_count(), 0u) << seed;
+  }
+}
+
+TEST(FaultArray, EvaluateChecksTheLogicalCellsNotTheSpares) {
+  // Spares widen the physical array, never the cells a program may address.
+  fault::FaultProfile profile;
+  profile.repair = fault::Repair::Remap;
+  profile.spares = 8;
+  fault::FaultArray array(4, profile, 1);
+  ASSERT_EQ(array.size(), 12u);
+  EXPECT_EQ(array.logical_size(), 4u);
+  plim::Program program;
+  program.bind_pi(0);
+  program.append(plim::make_copy_step(0, 5));
+  program.bind_po(5);
+  const std::vector<std::uint64_t> pis{1};
+  EXPECT_THROW(plim::evaluate(program, pis, &array), Error);
+  plim::PlimController controller(array);
+  EXPECT_THROW(controller.start(program), Error);
+}
+
 // ---- allocator decorators --------------------------------------------------
 
 TEST(FaultDecorators, RetireDropsWornCells) {
@@ -390,6 +464,41 @@ TEST(FaultSweep, CensoringReportsTrialsThatNeverFailed) {
   ASSERT_TRUE(report.fault_sweep.has_value());
   EXPECT_EQ(report.fault_sweep->censored, 3u);
   EXPECT_EQ(report.fault_sweep->lifetime_min, 10u);
+}
+
+TEST(FaultSweep, GoldenDistributionsArePinned) {
+  // Full distributions for every model on one fixed program and seed. Any
+  // change to the fault stream's draw order, wear accounting or remapping
+  // on the execution path moves these.
+  const auto graph = test::random_mig(61, 10, 120, 5);
+  const auto config = PipelineConfig::parse("full");
+  const auto prepared = core::prepare(graph, config);
+  const auto program = core::compile_prepared(prepared, config).program;
+  struct Golden {
+    const char* spec;
+    fault::LifetimeDistribution dist;
+  };
+  const Golden goldens[] = {
+      {"stuck:rate=0.02:wear_rate=0.001:endurance=60:seed=3:trials=6:runs=150",
+       {6, 150, 0, 0, 5, 5, 5, 2.5, 1, 3, 1.3333333333333333, 0, 42}},
+      {"stuck:rate=0.01:wear_rate=0.002:endurance=40:repair=remap:spares=16:"
+       "seed=4:trials=6:runs=200",
+       {6, 200, 0, 12, 13, 13, 13, 12.833333333333334, 17, 27,
+        24.833333333333332, 94, 143}},
+      {"drift:rate=0.002:endurance=300:seed=5:trials=6:runs=100",
+       {6, 100, 0, 0, 11, 21, 21, 8.1666666666666661, 0, 0, 0, 0, 0}},
+      {"variation:fail_rate=0.001:endurance=80:sigma=0.4:seed=6:trials=6:"
+       "runs=200",
+       {6, 200, 0, 2, 5, 8, 8, 5.166666666666667, 0, 2, 1, 0, 23}},
+      {"mixed:mem_rate=0.01:logic_rate=0.03:logic_wear=3:endurance=90:"
+       "repair=remap:spares=4:seed=7:trials=6:runs=120",
+       {6, 120, 0, 5, 5, 5, 5, 5, 7, 9, 7.666666666666667, 24, 60}},
+  };
+  for (const auto& golden : goldens) {
+    const auto dist = fault::run_sweep(
+        program, prepared, fault::make_sweep(util::PolicySpec::parse(golden.spec)));
+    EXPECT_EQ(dist, golden.dist) << golden.spec;
+  }
 }
 
 TEST(FaultSweep, RunSweepRejectsDisabledSpecs) {

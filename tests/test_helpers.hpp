@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "mig/mig.hpp"
+#include "plim/program.hpp"
 #include "util/rng.hpp"
 
 namespace rlim::test {
@@ -39,6 +40,35 @@ inline mig::Mig random_mig(std::uint64_t seed, std::uint32_t num_pis,
     graph.create_po(pool[idx] ^ rng.chance(1, 4));
   }
   return graph;
+}
+
+/// Deterministic random straight-line program over `num_cells` cells:
+/// operands are constants one time in five, PIs and POs bound to random
+/// cells. Not a compiled function of anything — for differential tests of
+/// the execution paths.
+inline plim::Program random_program(std::uint64_t seed, plim::Cell num_cells,
+                                    std::size_t length, std::uint32_t num_pis,
+                                    std::uint32_t num_pos) {
+  util::Xoshiro256 rng(seed);
+  const auto cell = [&] { return static_cast<plim::Cell>(rng.below(num_cells)); };
+  const auto operand = [&] {
+    return rng.chance(1, 5) ? plim::Operand::constant(rng.chance(1, 2))
+                            : plim::Operand::cell(cell());
+  };
+  plim::Program program;
+  for (std::uint32_t i = 0; i < num_pis; ++i) {
+    program.bind_pi(cell());
+  }
+  for (std::size_t i = 0; i < length; ++i) {
+    const auto a = operand();
+    const auto b = operand();
+    program.append(plim::Instruction{a, b, cell()});
+  }
+  for (std::uint32_t i = 0; i < num_pos; ++i) {
+    program.bind_po(cell());
+  }
+  program.set_num_cells(num_cells);
+  return program;
 }
 
 }  // namespace rlim::test

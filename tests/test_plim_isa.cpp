@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "plim/controller.hpp"
 #include "plim/instruction.hpp"
 #include "plim/program.hpp"
 #include "plim/rram_array.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace rlim::plim {
@@ -259,6 +261,40 @@ TEST(Program, SerializationRoundTrip) {
   EXPECT_EQ(evaluate(back, pis), evaluate(program, pis));
 }
 
+TEST(Program, EveryConstructionPathKeepsTheCellInvariant) {
+  // append/bind_*, adopt_raw and read are the only ways to build a Program;
+  // each keeps every reference below num_cells(), so validate() never fires.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto built = test::random_program(seed, 3 + seed % 17, 40, 3, 2);
+    EXPECT_NO_THROW(built.validate()) << seed;
+
+    Program::RawProgram raw;
+    raw.instructions.assign(built.instructions().begin(), built.instructions().end());
+    raw.pi_cells.assign(built.pi_cells().begin(), built.pi_cells().end());
+    raw.po_cells.assign(built.po_cells().begin(), built.po_cells().end());
+    raw.num_cells = built.num_cells() + 1;
+    EXPECT_NO_THROW(Program::adopt_raw(std::move(raw)).validate()) << seed;
+
+    std::stringstream stream;
+    built.write(stream);
+    EXPECT_NO_THROW(Program::read(stream).validate()) << seed;
+  }
+}
+
+TEST(Program, RejectsACellIndexTheCellSpaceCannotCover) {
+  // num_cells() is one past the largest reference, so the largest Cell value
+  // would wrap it to 0 and break the invariant.
+  constexpr Cell kTop = std::numeric_limits<Cell>::max();
+  Program program;
+  EXPECT_THROW(program.append(make_write_const(true, kTop)), Error);
+  EXPECT_THROW(program.bind_pi(kTop), Error);
+  EXPECT_THROW(program.bind_po(kTop), Error);
+  EXPECT_EQ(program.size(), 0u);
+  EXPECT_EQ(program.num_cells(), 0u);
+  std::stringstream stream(".plim 1 1\n.rm3 0 1 4294967295\n.end\n");
+  EXPECT_THROW(Program::read(stream), Error);
+}
+
 TEST(Program, ReadRejectsMalformedInput) {
   {
     std::stringstream stream(".rm3 c0 c1 2\n.end\n");  // no header
@@ -320,6 +356,60 @@ TEST(Controller, ProgramLargerThanArrayThrows) {
   EXPECT_THROW(controller.start(program), Error);
 }
 
+TEST(Controller, RunFinishesWhatStepStarted) {
+  Program program;
+  for (int i = 0; i < 6; ++i) {
+    program.append(make_write_const(i % 2 == 1, static_cast<Cell>(i)));
+  }
+  RramArray array(program.num_cells());
+  PlimController controller(array);
+  controller.start(program);
+  EXPECT_TRUE(controller.step());
+  EXPECT_TRUE(controller.step());
+  EXPECT_EQ(controller.run(), 4u);
+  EXPECT_EQ(controller.state(), PlimController::State::Done);
+  EXPECT_EQ(controller.program_counter(), 6u);
+  EXPECT_EQ(controller.run(), 0u);
+  for (Cell cell = 0; cell < 6; ++cell) {
+    EXPECT_EQ(array.write_count(cell), 1u);
+    EXPECT_EQ(array.read(cell), cell % 2 == 1 ? ~0ULL : 0ULL);
+  }
+}
+
+TEST(RramArray, ExecuteMatchesPerInstructionSteps) {
+  // Differential: the devirtualized kernel against the controller's
+  // instruction-at-a-time path through read/write, on arrays whose weakest
+  // cells wear out within a few executions.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const auto program = test::random_program(seed, 24, 300, 4, 3);
+    const RramConfig config{.endurance_limit = 40,
+                            .endurance_sigma = 0.6,
+                            .variation_seed = seed};
+    RramArray kernel(program.num_cells(), config);
+    RramArray stepped(program.num_cells(), config);
+    util::Xoshiro256 rng(seed);
+    for (int run = 0; run < 8; ++run) {
+      for (const auto cell : program.pi_cells()) {
+        const auto word = rng();
+        kernel.preload(cell, word);
+        stepped.preload(cell, word);
+      }
+      kernel.execute(program.instructions());
+      PlimController controller(stepped);
+      controller.start(program);
+      while (controller.state() == PlimController::State::Running) {
+        controller.step();
+      }
+      ASSERT_EQ(kernel.write_counts(), stepped.write_counts()) << seed;
+      for (Cell cell = 0; cell < program.num_cells(); ++cell) {
+        ASSERT_EQ(kernel.read(cell), stepped.read(cell)) << seed << " " << cell;
+      }
+      ASSERT_EQ(kernel.failed_cell_count(), stepped.failed_cell_count());
+    }
+    EXPECT_GT(kernel.failed_cell_count(), 0u) << seed;
+  }
+}
+
 TEST(Evaluate, MajorityProgram) {
   // Hand-written program computing ⟨a b̄ c⟩ into c's cell.
   Program program;
@@ -379,6 +469,18 @@ TEST(Evaluate, DynamicWearMatchesStaticAccounting) {
           << "run " << run << " cell " << cell;
     }
   }
+}
+
+TEST(Evaluate, TooSmallCallerArrayThrows) {
+  Program program;
+  program.bind_pi(0);
+  program.append(make_copy_step(0, 5));
+  program.bind_po(5);
+  const std::vector<std::uint64_t> pis{7};
+  RramArray small(5);
+  EXPECT_THROW(evaluate(program, pis, &small), Error);
+  RramArray fits(6);
+  EXPECT_EQ(evaluate(program, pis, &fits), (std::vector<std::uint64_t>{7}));
 }
 
 TEST(Evaluate, PiCountMismatchThrows) {

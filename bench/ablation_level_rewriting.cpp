@@ -3,7 +3,8 @@
 // for blocked RRAMs) versus the paper's Algorithm 2. The paper predicts the
 // level-balanced MIGs "might not be favorable w.r.t. the length of
 // instructions" — this binary measures that trade-off. Both flows are
-// expressed as RewriteKinds of one flow::Runner batch.
+// registered rewrite flows (`rewrite=endurance` / `rewrite=level_balanced`)
+// run as one flow::Runner batch.
 
 #include <iostream>
 
@@ -47,7 +48,7 @@ int main(int argc, char** argv) try {
 
   struct Flow {
     std::string label;
-    std::string key;  // mig::rewrites() registry key
+    std::string key;  // pass::rewrites() registry key
   };
   const Flow flows[] = {
       {"Algorithm 2", "endurance"},

@@ -16,11 +16,11 @@ int main(int argc, char** argv) try {
 
   const auto opts = flow::parse_driver_args(argc, argv);
 
-  // Orderings under test. "paper" is the endurance flow's own list (joined
-  // from the enum flow, so it cannot drift); the others probe what the
-  // interleaving buys: inverters first, reshaping only, inverters only, and
-  // the full list without the Ω.A window.
-  const std::string paper(pass::alias_passes(mig::RewriteKind::Endurance));
+  // Orderings under test. "paper" is the endurance flow's own list (read
+  // from the registered flow table, so it cannot drift); the others probe
+  // what the interleaving buys: inverters first, reshaping only, inverters
+  // only, and the full list without the Ω.A window.
+  const std::string paper(pass::paper_flow_passes("endurance"));
   const struct {
     const char* label;
     std::string passes;

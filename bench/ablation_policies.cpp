@@ -15,12 +15,18 @@ int main(int argc, char** argv) try {
   // A handful of representative functions keeps the grid readable.
   const char* names[] = {"adder", "sin", "priority", "voter", "cavlc"};
 
-  static constexpr plim::SelectionPolicy kSelections[] = {
-      plim::SelectionPolicy::NaiveOrder, plim::SelectionPolicy::Plim21,
-      plim::SelectionPolicy::EnduranceAware};
-  static constexpr plim::AllocPolicy kAllocations[] = {
-      plim::AllocPolicy::Lifo, plim::AllocPolicy::Fifo,
-      plim::AllocPolicy::RoundRobin, plim::AllocPolicy::MinWrite};
+  // Registry keys with their row / column labels.
+  struct Policy {
+    const char* key;
+    const char* label;
+  };
+  static constexpr Policy kSelections[] = {{"naive", "naive-order"},
+                                           {"plim21", "plim21"},
+                                           {"endurance", "endurance-aware"}};
+  static constexpr Policy kAllocations[] = {{"lifo", "lifo"},
+                                            {"fifo", "fifo"},
+                                            {"round_robin", "round-robin"},
+                                            {"min_write", "min-write"}};
 
   std::vector<flow::SourcePtr> sources;
   std::vector<flow::Job> jobs;
@@ -35,12 +41,11 @@ int main(int argc, char** argv) try {
       continue;
     }
     sources.push_back(flow::Source::benchmark(*spec));
-    for (const auto selection : kSelections) {
-      for (const auto allocation : kAllocations) {
+    for (const auto& selection : kSelections) {
+      for (const auto& allocation : kAllocations) {
         const auto config = core::PipelineConfig::parse(
-            "rewrite=endurance,select=" +
-            std::string(plim::selection_key(selection)) +
-            ",alloc=" + std::string(plim::allocation_key(allocation)));
+            std::string("rewrite=endurance,select=") + selection.key +
+            ",alloc=" + allocation.key);
         jobs.push_back({sources.back(), config, {}});
       }
     }
@@ -56,10 +61,12 @@ int main(int argc, char** argv) try {
   for (std::size_t s = 0; s < sources.size(); ++s) {
     flow::Report doc;
     doc.title = sources[s]->label() + " — STDEV of write counts:";
-    doc.columns = {"selection \\ allocation", "lifo", "fifo", "round-robin",
-                   "min-write"};
+    doc.columns = {"selection \\ allocation"};
+    for (const auto& allocation : kAllocations) {
+      doc.columns.emplace_back(allocation.label);
+    }
     for (std::size_t sel = 0; sel < std::size(kSelections); ++sel) {
-      std::vector<std::string> row{plim::to_string(kSelections[sel])};
+      std::vector<std::string> row{kSelections[sel].label};
       for (std::size_t alloc = 0; alloc < std::size(kAllocations); ++alloc) {
         const auto& result =
             results[s * kPerSource + sel * std::size(kAllocations) + alloc];

@@ -12,10 +12,7 @@
 #include "fault/fault.hpp"
 #include "flow/runner.hpp"
 #include "flow/suite.hpp"
-#include "mig/rewriting.hpp"
 #include "mig/simulate.hpp"
-#include "pass/manager.hpp"
-#include "pass/pass.hpp"
 #include "pass/seq.hpp"
 #include "plim/compiler.hpp"
 #include "plim/controller.hpp"
@@ -40,8 +37,9 @@ const mig::Mig& adder_graph(unsigned bits) {
 
 void BM_RewritePlim21(benchmark::State& state) {
   const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));
+  const auto rewrite = pass::make_rewrite({"plim21", {{"effort", "2"}}});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mig::rewrite_plim21(graph, 2));
+    benchmark::DoNotOptimize(rewrite(graph, nullptr));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           graph.num_gates());
@@ -50,33 +48,18 @@ BENCHMARK(BM_RewritePlim21)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_RewriteEndurance(benchmark::State& state) {
   const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));
+  const auto rewrite = pass::make_rewrite({"endurance", {{"effort", "2"}}});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mig::rewrite_endurance(graph, 2));
+    benchmark::DoNotOptimize(rewrite(graph, nullptr));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           graph.num_gates());
 }
 BENCHMARK(BM_RewriteEndurance)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
-// Same pass list as BM_RewriteEndurance, driven through the pass manager —
-// the delta between the two is the per-pass telemetry + dispatch overhead.
-void BM_PassPipeline(benchmark::State& state) {
-  pass::ensure_registered();
-  const auto manager =
-      pass::make_manager(pass::alias_passes(mig::RewriteKind::Endurance));
-  const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(manager.run(graph, 2));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          graph.num_gates());
-}
-BENCHMARK(BM_PassPipeline)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
-
 void BM_Compile(benchmark::State& state) {
   const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));
-  const plim::PlimCompiler compiler(
-      {plim::SelectionPolicy::EnduranceAware, plim::AllocPolicy::MinWrite, {}});
+  const plim::PlimCompiler compiler({{"endurance", {}}, {"min_write", {}}});
   for (auto _ : state) {
     benchmark::DoNotOptimize(compiler.compile(graph));
   }
@@ -87,8 +70,7 @@ BENCHMARK(BM_Compile)->Arg(16)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond)
 
 void BM_CompileNaive(benchmark::State& state) {
   const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));
-  const plim::PlimCompiler compiler(
-      {plim::SelectionPolicy::NaiveOrder, plim::AllocPolicy::Lifo, {}});
+  const plim::PlimCompiler compiler({{"naive", {}}, {"lifo", {}}});
   for (auto _ : state) {
     benchmark::DoNotOptimize(compiler.compile(graph));
   }

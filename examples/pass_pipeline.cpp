@@ -20,16 +20,15 @@
 int main() {
   using namespace rlim;
 
-  pass::ensure_registered();
   const auto graph = bench::make_adder(16);
   std::cout << "16-bit adder: " << graph.num_gates() << " majority gates, "
             << "depth " << graph.depth() << "\n\n";
 
   // 1. The endurance flow is just a pass sequence. Build it explicitly and
   //    run it with telemetry — the exact same passes, in the same order, as
-  //    `rewrite=endurance` (the alias list is joined from the enum flow, so
-  //    the two can never drift apart).
-  const auto sequence = pass::alias_passes(mig::RewriteKind::Endurance);
+  //    `rewrite=endurance` (both read the registered flow table, so the two
+  //    can never drift apart).
+  const auto sequence = pass::paper_flow_passes("endurance");
   std::cout << "endurance = seq:passes=" << sequence << "\n\n";
 
   auto manager = pass::make_manager(sequence);

@@ -4,8 +4,7 @@
 #include <charconv>
 
 #include "fault/fault.hpp"
-#include "mig/rewriting.hpp"
-#include "pass/pass.hpp"
+#include "pass/seq.hpp"
 #include "plim/allocator.hpp"
 #include "plim/selector.hpp"
 #include "util/enum_names.hpp"
@@ -103,7 +102,7 @@ int PipelineConfig::effort() const {
 }
 
 void PipelineConfig::set_effort(int effort) {
-  for (const auto& param : mig::rewrites().describe(rewrite.key).params) {
+  for (const auto& param : pass::rewrites().describe(rewrite.key).params) {
     if (param.name == "effort") {
       rewrite.params["effort"] = std::to_string(effort);
       return;
@@ -128,9 +127,8 @@ std::string PipelineConfig::canonical_key() const {
 
 PipelineConfig PipelineConfig::normalized() const {
   rlim::fault::ensure_registered();
-  rlim::pass::ensure_registered();
   PipelineConfig out = *this;
-  out.rewrite = mig::rewrites().normalize(rewrite);
+  out.rewrite = pass::rewrites().normalize(rewrite);
   out.selection = plim::selectors().normalize(selection);
   out.allocation = plim::allocators().normalize(allocation);
   out.fault = rlim::fault::models().normalize(fault);
@@ -231,7 +229,7 @@ PipelineConfig PipelineConfig::parse(std::string_view spec) {
   config = config.normalized();
   // Constructing each policy validates parameter values up front, so a bad
   // spec fails here with a clear message instead of deep inside a batch.
-  (void)mig::make_rewrite(config.rewrite);
+  (void)pass::make_rewrite(config.rewrite);
   (void)plim::make_selector(config.selection);
   (void)plim::make_allocator(config.allocation);
   (void)rlim::fault::make_sweep(config.fault);

@@ -42,7 +42,7 @@ strategy_aliases();
 [[nodiscard]] std::string_view strategy_alias(Strategy strategy);
 
 /// Everything needed to run one pipeline, as string-keyed policy specs:
-/// rewriting flow (mig::rewrites()), node-selection policy
+/// rewriting flow (pass::rewrites()), node-selection policy
 /// (plim::selectors()), allocation policy (plim::allocators()), fault
 /// scenario (fault::models(); `none` = no sweep), and the optional
 /// maximum-write cap.

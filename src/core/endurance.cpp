@@ -1,26 +1,21 @@
 #include "core/endurance.hpp"
 
+#include "pass/seq.hpp"
 #include "util/error.hpp"
 
 namespace rlim::core {
 
 mig::Mig prepare(const mig::Mig& graph, const PipelineConfig& config) {
-  return mig::make_rewrite(config.rewrite)(graph, nullptr);
+  return pass::make_rewrite(config.rewrite)(graph, nullptr);
 }
 
 EnduranceReport compile_prepared(const mig::Mig& prepared,
                                  const PipelineConfig& config,
                                  std::string benchmark_name,
                                  std::size_t gates_before) {
-  plim::CompilerOptions options;
-  options.selector = [spec = config.selection] {
-    return plim::make_selector(spec);
-  };
-  options.allocator = [spec = config.allocation] {
-    return plim::make_allocator(spec);
-  };
-  options.max_writes = config.max_writes;
-  auto compiled = plim::PlimCompiler(options).compile(prepared);
+  auto compiled = plim::PlimCompiler({config.selection, config.allocation,
+                                      config.max_writes})
+                      .compile(prepared);
 
   EnduranceReport report;
   report.benchmark = std::move(benchmark_name);

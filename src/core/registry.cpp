@@ -4,25 +4,16 @@
 
 namespace rlim::registry {
 
-namespace {
-
-/// Every facade entry point registers the lazily-added policies first, so
-/// discovery always sees the full set regardless of call order.
-void ensure_registered() {
-  fault::ensure_registered();
-  pass::ensure_registered();
-}
-
-}  // namespace
-
 std::vector<std::string_view> kinds() {
   return {"rewrite", "pass", "select", "alloc", "fault"};
 }
 
 std::vector<util::PolicyInfo> list(std::string_view kind) {
-  ensure_registered();
+  // The fault library adds its allocator decorators lazily; register them
+  // first so discovery sees the full set regardless of call order.
+  fault::ensure_registered();
   if (kind == "rewrite") {
-    return mig::rewrites().list();
+    return pass::rewrites().list();
   }
   if (kind == "pass") {
     return pass::passes().list();
@@ -41,9 +32,9 @@ std::vector<util::PolicyInfo> list(std::string_view kind) {
 }
 
 const util::PolicyInfo& describe(std::string_view kind, std::string_view key) {
-  ensure_registered();
+  fault::ensure_registered();  // as in list()
   if (kind == "rewrite") {
-    return mig::rewrites().describe(key);
+    return pass::rewrites().describe(key);
   }
   if (kind == "pass") {
     return pass::passes().describe(key);
@@ -61,13 +52,11 @@ const util::PolicyInfo& describe(std::string_view kind, std::string_view key) {
               "' (expected rewrite, pass, select, alloc, fault)");
 }
 
-mig::RewriteFn make_rewrite(const util::PolicySpec& spec) {
-  ensure_registered();
-  return mig::make_rewrite(spec);
+pass::RewriteFn make_rewrite(const util::PolicySpec& spec) {
+  return pass::make_rewrite(spec);
 }
 
 pass::PassPtr make_pass(const util::PolicySpec& spec) {
-  ensure_registered();
   return pass::make_pass(spec);
 }
 
@@ -76,7 +65,7 @@ plim::SelectorPtr make_selector(const util::PolicySpec& spec) {
 }
 
 plim::AllocatorPtr make_allocator(const util::PolicySpec& spec) {
-  ensure_registered();
+  fault::ensure_registered();
   return plim::make_allocator(spec);
 }
 

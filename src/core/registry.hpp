@@ -4,15 +4,15 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "mig/rewriting.hpp"
 #include "pass/pass.hpp"
+#include "pass/seq.hpp"
 #include "plim/allocator.hpp"
 #include "plim/selector.hpp"
 
 /// Unified, string-keyed view over the policy registries behind a
 /// core::PipelineConfig — the discovery surface of the pluggable-policy API
 /// (`rlim policies` renders it). Kinds are named after the config-spec
-/// grammar fields: "rewrite" (mig::rewrites()), "select" (plim::selectors()),
+/// grammar fields: "rewrite" (pass::rewrites()), "select" (plim::selectors()),
 /// "alloc" (plim::allocators()), "fault" (fault::models()) — plus "pass"
 /// (pass::passes()), the building blocks of the `rewrite=seq:` flow, listed
 /// right after "rewrite" since passes configure that dimension.
@@ -32,7 +32,7 @@ namespace rlim::registry {
 
 /// Typed `make`: normalize `spec` against the kind's registry and
 /// factory-construct the policy, validating key and parameter values.
-[[nodiscard]] mig::RewriteFn make_rewrite(const util::PolicySpec& spec);
+[[nodiscard]] pass::RewriteFn make_rewrite(const util::PolicySpec& spec);
 [[nodiscard]] pass::PassPtr make_pass(const util::PolicySpec& spec);
 [[nodiscard]] plim::SelectorPtr make_selector(const util::PolicySpec& spec);
 [[nodiscard]] plim::AllocatorPtr make_allocator(const util::PolicySpec& spec);

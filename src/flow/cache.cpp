@@ -1,5 +1,6 @@
 #include "flow/cache.hpp"
 
+#include "pass/seq.hpp"
 #include "store/disk_store.hpp"
 #include "util/hash.hpp"
 
@@ -15,7 +16,7 @@ PipelineCache::RewriteEntry PipelineCache::rewrite(
     store::IoScratch* scratch) {
   // Normalizing here makes the cache key canonical, so callers may pass
   // partially-specified specs without splitting entries.
-  const auto normalized = mig::rewrites().normalize(spec);
+  const auto normalized = pass::rewrites().normalize(spec);
   const Key key{source.fingerprint(), normalized.canonical()};
 
   std::promise<RewriteEntry> promise;
@@ -52,7 +53,7 @@ PipelineCache::RewriteEntry PipelineCache::rewrite(
       if (!loaded) {
         mig::RewriteStats stats;
         entry.graph = std::make_shared<const mig::Mig>(
-            mig::make_rewrite(normalized)(source.original(), &stats));
+            pass::make_rewrite(normalized)(source.original(), &stats));
         entry.stats = stats;
         {
           const std::scoped_lock lock(mutex_);

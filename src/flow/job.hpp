@@ -49,7 +49,7 @@ public:
   /// The unrewritten graph; built on first call (throws on load failure).
   [[nodiscard]] const mig::Mig& original() const;
   /// Shared handle to `original()` — jobs that compile the graph unrewritten
-  /// (RewriteKind::None) carry this as their JobResult::prepared.
+  /// (`rewrite=none`) carry this as their JobResult::prepared.
   [[nodiscard]] std::shared_ptr<const mig::Mig> original_ptr() const;
   /// Content hash of `original()` — the rewrite-cache key component.
   [[nodiscard]] std::uint64_t fingerprint() const;

@@ -13,7 +13,6 @@ namespace rlim::flow {
 Runner::Runner(RunnerOptions options)
     : options_(options),
       service_({.jobs = options.jobs,
-                .cache_rewrites = options.cache_rewrites,
                 .cache_programs = options.cache_programs,
                 .cache_dir = std::move(options.cache_dir),
                 .coalesce = false}) {}

@@ -13,17 +13,13 @@ namespace rlim::flow {
 struct RunnerOptions {
   /// Worker-thread count; 0 selects std::thread::hardware_concurrency().
   unsigned jobs = 0;
-  /// Share rewritten graphs across jobs via the cache's rewrite level.
-  /// Disabling also disables program caching (it measures cold cost).
-  bool cache_rewrites = true;
   /// Memoize compiled programs on (fingerprint, canonical config key):
   /// repeated (source, config) pairs skip compilation entirely. Disable to
-  /// measure cold compilation cost; requires cache_rewrites.
+  /// measure cold compilation cost; rewritten graphs stay shared either way.
   bool cache_programs = true;
   /// Directory of the persistent store::DiskStore backing the cache
-  /// (created on demand); empty leaves the disk tier off. Requires
-  /// cache_rewrites (the store backs the cache). The Runner itself never
-  /// consults the environment — benchmarks and tests stay hermetic
+  /// (created on demand); empty leaves the disk tier off. The Runner itself
+  /// never consults the environment — benchmarks and tests stay hermetic
   /// however the caller's shell is configured. Front-ends that honor
   /// RLIM_CACHE_DIR (the rlim CLI, the bench drivers) resolve it into this
   /// field (store::env_cache_dir()).
@@ -51,8 +47,7 @@ struct RunnerOptions {
 class Runner {
 public:
   /// Throws rlim::Error when the cache directory can neither be created
-  /// nor read (a readable read-only store degrades to read-through), or
-  /// when cache_dir is combined with cache_rewrites=false.
+  /// nor read (a readable read-only store degrades to read-through).
   explicit Runner(RunnerOptions options = {});
 
   [[nodiscard]] std::vector<JobResult> run(const std::vector<Job>& jobs);

@@ -61,10 +61,6 @@ void BatchHandle::wait() const {
 
 Service::Service(ServiceOptions options) : options_(std::move(options)) {
   if (!options_.cache_dir.empty()) {
-    // The disk store backs the in-memory cache; with caching off the jobs
-    // never touch it, so accepting the directory would be a silent no-op.
-    require(options_.cache_rewrites,
-            "flow: cache_dir requires cache_rewrites");
     cache_.attach_store(
         std::make_shared<store::DiskStore>(options_.cache_dir));
   }
@@ -250,7 +246,7 @@ JobResult Service::execute(const Job& job, store::IoScratch* scratch) {
   try {
     require(job.source != nullptr, "flow: job without a source");
     const auto& config = job.config;
-    if (options_.cache_rewrites && options_.cache_programs) {
+    if (options_.cache_programs) {
       // Two-level path: repeated (fingerprint, canonical config) pairs skip
       // compilation entirely; the cached report is label-agnostic, so patch
       // in this job's label.
@@ -267,15 +263,10 @@ JobResult Service::execute(const Job& job, store::IoScratch* scratch) {
       auto entry = passthrough_rewrite(*job.source);
       result.prepared = std::move(entry.graph);
       result.rewrite_stats = entry.stats;
-    } else if (options_.cache_rewrites) {
+    } else {
       auto entry = cache_.rewrite(*job.source, config.rewrite, scratch);
       result.prepared = std::move(entry.graph);
       result.rewrite_stats = entry.stats;
-    } else {
-      mig::RewriteStats stats;
-      result.prepared = std::make_shared<const mig::Mig>(
-          mig::make_rewrite(config.rewrite)(job.source->original(), &stats));
-      result.rewrite_stats = stats;
     }
     result.report =
         core::compile_prepared(*result.prepared, config, job.display_label(),

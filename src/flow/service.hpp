@@ -40,10 +40,9 @@ struct ServiceOptions {
   /// BM_ServeLoad flips this for an apples-to-apples comparison; production
   /// code leaves it false.
   bool single_queue = false;
-  /// Share rewritten graphs across jobs via the cache's rewrite level.
-  /// Disabling also disables program caching (it measures cold cost).
-  bool cache_rewrites = true;
   /// Memoize compiled programs on (fingerprint, canonical config key).
+  /// Disable to measure cold compilation cost; rewritten graphs stay shared
+  /// through the cache's rewrite level either way.
   bool cache_programs = true;
   /// Directory of the persistent store::DiskStore backing the cache; empty
   /// leaves the disk tier off. Same hermeticity contract as RunnerOptions:
@@ -135,7 +134,7 @@ private:
 class Service {
 public:
   /// Validates options and starts the worker pool. Throws rlim::Error when
-  /// cache_dir is unusable or combined with cache_rewrites=false.
+  /// cache_dir is unusable.
   explicit Service(ServiceOptions options = {});
   /// Calls shutdown() — cancels pending work, finishes running jobs, joins.
   ~Service();

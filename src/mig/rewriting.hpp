@@ -1,26 +1,18 @@
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
-
-#include "mig/mig.hpp"
-#include "util/registry.hpp"
-#include "util/spec.hpp"
 
 namespace rlim::mig {
 
-/// Telemetry of one pipeline position in a rewriting run. `name` is the pass
-/// key shared with the rlim::pass registry ("maj", "dist", ...); the deltas
-/// are signed after-minus-before differences summed over every cycle the
-/// pass executed, so a shrinking pass accumulates a negative gate_delta.
-/// `wall_ns` is wall-clock measurement — everything else is deterministic
-/// for a given input graph and sequence.
+/// Telemetry of one pipeline position in a rewriting run. `name` is the
+/// rlim::pass registry key ("maj", "dist", ...); the deltas are signed
+/// after-minus-before differences summed over every cycle the pass executed,
+/// so a shrinking pass accumulates a negative gate_delta. `wall_ns` is
+/// wall-clock measurement — everything else is deterministic for a given
+/// input graph and sequence.
 struct PassStats {
   std::string name;
   std::uint64_t runs = 0;             ///< times the pass executed
@@ -33,10 +25,10 @@ struct PassStats {
   bool operator==(const PassStats&) const = default;
 };
 
-/// Telemetry of one rewriting run (per cycle and total). `per_pass` holds
-/// one entry per pipeline position, in execution order — filled by both the
-/// enum-era flows below and pass::PassManager, so `rlim compile` verbose
-/// output and the ablation drivers see the same breakdown either way.
+/// Telemetry of one rewriting run (per cycle and total), filled by
+/// pass::PassManager. `per_pass` holds one entry per pipeline position, in
+/// execution order. The store and the wire format serialize it alongside
+/// the rewritten graph.
 struct RewriteStats {
   std::size_t initial_gates = 0;
   std::size_t final_gates = 0;
@@ -46,89 +38,5 @@ struct RewriteStats {
   std::size_t total_applications = 0;
   std::vector<PassStats> per_pass;
 };
-
-/// Which rewriting flow to run before compilation.
-enum class RewriteKind {
-  None,           ///< naive: compile the MIG as constructed (cleanup only)
-  Plim21,         ///< paper Algorithm 1 — the original PLiM compiler flow [21]
-  Endurance,      ///< paper Algorithm 2 — endurance-aware rewriting
-  LevelBalanced,  ///< §III-B.4 experimental flow (rewrite_level_balanced)
-};
-
-/// Every RewriteKind enumerator, in declaration order. The static_assert
-/// below pins each table position to its enumerator value, so extending the
-/// enum without extending the table fails to compile instead of silently
-/// desynchronizing the count.
-inline constexpr std::array kRewriteKinds{
-    RewriteKind::None,
-    RewriteKind::Plim21,
-    RewriteKind::Endurance,
-    RewriteKind::LevelBalanced,
-};
-inline constexpr std::size_t kRewriteKindCount = kRewriteKinds.size();
-static_assert(
-    [] {
-      for (std::size_t i = 0; i < kRewriteKinds.size(); ++i) {
-        if (static_cast<std::size_t>(kRewriteKinds[i]) != i) {
-          return false;
-        }
-      }
-      return true;
-    }(),
-    "kRewriteKinds must list every RewriteKind enumerator in declaration "
-    "order — extend the table when extending the enum");
-
-[[nodiscard]] std::string to_string(RewriteKind kind);
-/// Inverse of to_string over every enumerator (throws rlim::Error).
-[[nodiscard]] RewriteKind parse_rewrite_kind(std::string_view name);
-
-/// A rewriting flow instantiated from a registry spec: graph in, rewritten
-/// graph out, telemetry into the optional stats sink.
-using RewriteFn = std::function<Mig(const Mig&, RewriteStats*)>;
-using RewriteFactory = std::function<RewriteFn(const util::Params&)>;
-
-/// Registry of rewriting flows, keyed for PipelineConfig specs. Built-ins:
-/// `none`, `plim21`, `endurance`, `level_balanced` (all but `none` declare an
-/// `effort` parameter, default 5). Open for downstream registration.
-[[nodiscard]] util::Registry<RewriteFactory>& rewrites();
-
-/// Normalizes `spec` against rewrites() and constructs the flow — the
-/// string-keyed equivalent of rewrite(kind, effort).
-[[nodiscard]] RewriteFn make_rewrite(const util::PolicySpec& spec);
-
-/// Registry key of an enum-backed flow ("none", "plim21", "endurance",
-/// "level_balanced").
-[[nodiscard]] std::string_view rewrite_key(RewriteKind kind);
-
-/// The named pass sequence an enum flow runs each cycle, as pass-registry
-/// keys ("maj", "dist", ...). None maps to the empty sequence. This is the
-/// single source of the `rewrite=seq:` alias pass lists (pass/seq.cpp joins
-/// it), so the enum flows and their seq spellings cannot drift apart.
-[[nodiscard]] std::span<const std::string_view> flow_pass_keys(
-    RewriteKind kind);
-
-/// Paper Algorithm 1 — MIG rewriting of the PLiM compiler [21]:
-///   Ω.M; Ω.D(R→L); Ω.A; Ψ.C; Ω.M; Ω.D(R→L); Ω.I(R→L)(1–3); Ω.I(R→L)
-/// repeated `effort` times (paper default 5), with early exit when a full
-/// cycle neither fires a rule nor shrinks the graph.
-Mig rewrite_plim21(const Mig& mig, int effort = 5, RewriteStats* stats = nullptr);
-
-/// Paper Algorithm 2 — endurance-aware MIG rewriting:
-///   Ω.M; Ω.D(R→L); Ω.I(R→L)(1–3); Ω.I(R→L); Ω.A; Ω.I(R→L)(1–3); Ω.I(R→L);
-///   Ω.M; Ω.D(R→L); Ω.I(R→L)
-/// Ψ.C is dropped (it destroys the RM3-ideal single-complemented-edge
-/// pattern) and Ω.A is sandwiched between inverter-propagation passes.
-Mig rewrite_endurance(const Mig& mig, int effort = 5, RewriteStats* stats = nullptr);
-
-/// Dispatch on RewriteKind (None returns a cleaned-up copy).
-Mig rewrite(const Mig& mig, RewriteKind kind, int effort = 5,
-            RewriteStats* stats = nullptr);
-
-/// Experimental flow for the paper's §III-B.4 future-work direction:
-/// Algorithm 2 extended with Ω.A level balancing, keeping level differences
-/// between connected nodes low to shorten storage durations (at a possible
-/// instruction-count cost — see bench/ablation_level_rewriting).
-Mig rewrite_level_balanced(const Mig& mig, int effort = 5,
-                           RewriteStats* stats = nullptr);
 
 }  // namespace rlim::mig

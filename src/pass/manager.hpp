@@ -21,12 +21,10 @@ struct DumpContext {
 /// dump-after-pass hook (see pass/dump.hpp for ready-made sinks).
 using DumpHook = std::function<void(const mig::Mig&, const DumpContext&)>;
 
-/// Runs an ordered pass sequence with the exact loop shape of the enum-era
-/// flows (mig/rewriting.cpp run_flow): one initial cleanup, then up to
-/// `effort` cycles over the sequence with an early exit once a full cycle
-/// neither fires a rule nor changes the gate count. Running the `plim21`
-/// sequence through a PassManager is therefore byte-identical to
-/// mig::rewrite_plim21 — the alias tests pin this down.
+/// Runs an ordered pass sequence — the one rewrite engine behind every
+/// registered flow but `none` (pass/seq.hpp): one initial cleanup, then up
+/// to `effort` cycles over the sequence with an early exit once a full cycle
+/// neither fires a rule nor changes the gate count.
 ///
 /// Configuration (add/until/on_dump) is not thread-safe; configure first,
 /// then run() is const and can execute on any number of threads.

@@ -1,11 +1,9 @@
 #include "pass/pass.hpp"
 
-#include <mutex>
 #include <string>
 #include <utility>
 
 #include "mig/axioms.hpp"
-#include "pass/seq.hpp"
 #include "util/error.hpp"
 
 namespace rlim::pass {
@@ -107,13 +105,5 @@ util::Registry<PassFactory>& passes() {
 }
 
 PassPtr make_pass(const util::PolicySpec& spec) { return passes().make(spec); }
-
-void ensure_registered() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    (void)passes();          // force built-in pass registration
-    register_seq_rewrite();  // pass/seq.cpp: the `seq` flow + aliases
-  });
-}
 
 }  // namespace rlim::pass

@@ -11,8 +11,7 @@
 
 namespace rlim::pass {
 
-/// Per-pass telemetry record, shared with the enum-era flows
-/// (mig::RewriteStats::per_pass) so both report the same breakdown.
+/// Per-pass telemetry record (one mig::RewriteStats::per_pass entry).
 using PassStats = mig::PassStats;
 
 /// One small, equivalence-preserving MIG rewriting step — the paper's
@@ -55,12 +54,5 @@ using PassFactory = std::function<PassPtr(const util::Params&)>;
 
 /// Normalize `spec` against passes() and construct the pass.
 [[nodiscard]] PassPtr make_pass(const util::PolicySpec& spec);
-
-/// Registers the built-in passes above and the `seq` rewriting flow into
-/// mig::rewrites() (idempotent, thread-safe). core::PipelineConfig and the
-/// registry facade call this on every normalize/list, so config specs can
-/// always say `rewrite=seq:passes=...`; call it yourself before touching
-/// passes() or mig::rewrites() without going through core.
-void ensure_registered();
 
 }  // namespace rlim::pass

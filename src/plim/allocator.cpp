@@ -5,24 +5,11 @@
 #include <set>
 #include <utility>
 
-#include "util/enum_names.hpp"
 #include "util/error.hpp"
 
 namespace rlim::plim {
 
 namespace {
-
-constexpr util::EnumTable kAllocPolicyNames{
-    std::string_view("allocation policy"),
-    std::array{
-        util::EnumName<AllocPolicy>{AllocPolicy::Lifo, "lifo"},
-        util::EnumName<AllocPolicy>{AllocPolicy::Fifo, "fifo"},
-        util::EnumName<AllocPolicy>{AllocPolicy::RoundRobin, "round-robin"},
-        util::EnumName<AllocPolicy>{AllocPolicy::MinWrite, "min-write"},
-        // Registry-key spellings accepted as parse aliases.
-        util::EnumName<AllocPolicy>{AllocPolicy::RoundRobin, "round_robin"},
-        util::EnumName<AllocPolicy>{AllocPolicy::MinWrite, "min_write"},
-    }};
 
 /// Most recently freed first — maximizes reuse locality, and wear.
 class LifoAllocator final : public Allocator {
@@ -151,14 +138,6 @@ private:
 
 }  // namespace
 
-std::string to_string(AllocPolicy policy) {
-  return std::string(kAllocPolicyNames.name(policy));
-}
-
-AllocPolicy parse_alloc_policy(std::string_view name) {
-  return kAllocPolicyNames.parse(name);
-}
-
 util::Registry<AllocatorFactory>& allocators() {
   static auto* registry = [] {
     auto* reg = new util::Registry<AllocatorFactory>("allocation policy");
@@ -199,23 +178,6 @@ util::Registry<AllocatorFactory>& allocators() {
 AllocatorPtr make_allocator(const util::PolicySpec& spec) {
   return allocators().make(spec);
 }
-
-AllocatorPtr make_allocator(AllocPolicy policy) {
-  return make_allocator(util::PolicySpec{std::string(allocation_key(policy)), {}});
-}
-
-std::string_view allocation_key(AllocPolicy policy) {
-  switch (policy) {
-    case AllocPolicy::Lifo: return "lifo";
-    case AllocPolicy::Fifo: return "fifo";
-    case AllocPolicy::RoundRobin: return "round_robin";
-    case AllocPolicy::MinWrite: return "min_write";
-  }
-  throw Error("allocation_key: unknown policy");
-}
-
-CellAllocator::CellAllocator(Options options)
-    : CellAllocator(make_allocator(options.policy), options.max_writes) {}
 
 CellAllocator::CellAllocator(AllocatorPtr policy,
                              std::optional<std::uint64_t> max_writes)

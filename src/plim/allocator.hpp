@@ -14,20 +14,6 @@
 
 namespace rlim::plim {
 
-/// How the compiler picks a cell from the free set when it requests one.
-/// The enum covers the closed set of unparameterized disciplines;
-/// parameterized policies register into allocators() instead.
-enum class AllocPolicy {
-  Lifo,        ///< naive: most recently freed first (maximizes reuse locality — and wear)
-  Fifo,        ///< oldest freed first
-  RoundRobin,  ///< cycle through free cells by index
-  MinWrite,    ///< the paper's *minimum write count strategy*
-};
-
-[[nodiscard]] std::string to_string(AllocPolicy policy);
-/// Inverse of to_string over every enumerator (throws rlim::Error).
-[[nodiscard]] AllocPolicy parse_alloc_policy(std::string_view name);
-
 /// Free-set discipline: orders dead cells for reuse. `push` receives the
 /// cell's write count at release time; counts cannot change while a cell is
 /// free, so ordering decisions made at push time stay valid. One instance
@@ -44,22 +30,23 @@ public:
 using AllocatorPtr = std::unique_ptr<Allocator>;
 using AllocatorFactory = std::function<AllocatorPtr(const util::Params&)>;
 
-/// Registry of allocation policies. Built-ins: `lifo`, `fifo`, `round_robin`,
-/// `min_write` (the enum-backed disciplines) and `start_gap` (parameter
-/// `interval`, default 16): a Start-Gap-style rotating allocator — free
-/// cells are served from a roving start pointer that advances on a fixed
-/// allocation schedule (core/startgap.hpp models the memory-level original),
-/// rotating reuse pressure across the array instead of following the last
-/// allocation the way round_robin does.
+/// Registry of allocation policies — how the compiler picks a cell from the
+/// free set when it requests one. Built-ins:
+///   lifo         naive: most recently freed first (maximizes reuse
+///                locality — and wear)
+///   fifo         oldest freed first
+///   round_robin  cycle through free cells by index
+///   min_write    the paper's *minimum write count strategy*
+///   start_gap    (parameter `interval`, default 16) a Start-Gap-style
+///                rotating allocator — free cells are served from a roving
+///                start pointer that advances on a fixed allocation schedule
+///                (core/startgap.hpp models the memory-level original),
+///                rotating reuse pressure across the array instead of
+///                following the last allocation the way round_robin does
 [[nodiscard]] util::Registry<AllocatorFactory>& allocators();
 
 /// Normalizes `spec` against allocators() and constructs the policy object.
 [[nodiscard]] AllocatorPtr make_allocator(const util::PolicySpec& spec);
-/// The enum-backed built-ins, by value.
-[[nodiscard]] AllocatorPtr make_allocator(AllocPolicy policy);
-/// Registry key of an enum-backed policy ("lifo", "fifo", "round_robin",
-/// "min_write").
-[[nodiscard]] std::string_view allocation_key(AllocPolicy policy);
 
 /// Compile-time RRAM cell allocator with write accounting.
 ///
@@ -77,16 +64,9 @@ using AllocatorFactory = std::function<AllocatorPtr(const util::Params&)>;
 /// destination exactly once).
 class CellAllocator {
 public:
-  struct Options {
-    AllocPolicy policy = AllocPolicy::Lifo;
-    std::optional<std::uint64_t> max_writes;  ///< paper's cap W (>= 3 enforced)
-  };
-
-  /// Enum-backed shorthand over the policy-object constructor.
-  explicit CellAllocator(Options options);
-  /// Factory-constructed policy. `max_writes` below 3 is rejected with a
-  /// clear error: the copy idioms need up to 3 writes on one fresh cell, so
-  /// smaller caps make compilation infeasible.
+  /// Factory-constructed policy. `max_writes` is the paper's cap W; below 3
+  /// it is rejected with a clear error: the copy idioms need up to 3 writes
+  /// on one fresh cell, so smaller caps make compilation infeasible.
   CellAllocator(AllocatorPtr policy, std::optional<std::uint64_t> max_writes);
   ~CellAllocator();
   CellAllocator(CellAllocator&&) noexcept;

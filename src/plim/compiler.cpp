@@ -12,12 +12,12 @@
 
 namespace rlim::plim {
 
-CompilerOptions::CompilerOptions(SelectionPolicy selection,
-                                 AllocPolicy allocation,
-                                 std::optional<std::uint64_t> max_writes)
-    : selector([selection] { return make_selector(selection); }),
-      allocator([allocation] { return make_allocator(allocation); }),
-      max_writes(max_writes) {}
+CompilerOptions::CompilerOptions(util::PolicySpec select,
+                                 util::PolicySpec alloc,
+                                 std::optional<std::uint64_t> cap)
+    : selector([select = std::move(select)] { return make_selector(select); }),
+      allocator([alloc = std::move(alloc)] { return make_allocator(alloc); }),
+      max_writes(cap) {}
 
 namespace {
 

@@ -15,22 +15,23 @@ namespace rlim::plim {
 
 /// Compiler policies as factories: compile() constructs one fresh Selector /
 /// Allocator pair per compilation, so stateful policy objects never leak
-/// state across graphs. Built from enums (the shorthand constructor), from
-/// registry specs (core::PipelineConfig), or from any user-supplied factory.
+/// state across graphs. Built from registry specs (the spec constructor,
+/// which core::PipelineConfig uses) or from any user-supplied factory.
 struct CompilerOptions {
   std::function<SelectorPtr()> selector = [] {
-    return make_selector(SelectionPolicy::Plim21);
+    return make_selector(util::PolicySpec{"plim21", {}});
   };
   std::function<AllocatorPtr()> allocator = [] {
-    return make_allocator(AllocPolicy::Lifo);
+    return make_allocator(util::PolicySpec{"lifo", {}});
   };
   /// Maximum write count strategy (paper Table III caps: 10/20/50/100).
   std::optional<std::uint64_t> max_writes;
 
   CompilerOptions() = default;
-  /// Enum-backed shorthand for the built-in policies.
-  CompilerOptions(SelectionPolicy selection, AllocPolicy allocation,
-                  std::optional<std::uint64_t> max_writes = std::nullopt);
+  /// Policies named by selectors() / allocators() specs, e.g.
+  /// `{{"endurance", {}}, {"min_write", {}}, 20}`.
+  CompilerOptions(util::PolicySpec select, util::PolicySpec alloc,
+                  std::optional<std::uint64_t> cap = std::nullopt);
 };
 
 /// Outcome of compiling one MIG.

@@ -2,26 +2,11 @@
 
 #include <vector>
 
-#include "util/enum_names.hpp"
 #include "util/error.hpp"
 
 namespace rlim::plim {
 
 namespace {
-
-constexpr util::EnumTable kSelectionPolicyNames{
-    std::string_view("selection policy"),
-    std::array{
-        util::EnumName<SelectionPolicy>{SelectionPolicy::NaiveOrder,
-                                        "naive-order"},
-        util::EnumName<SelectionPolicy>{SelectionPolicy::Plim21, "plim21"},
-        util::EnumName<SelectionPolicy>{SelectionPolicy::EnduranceAware,
-                                        "endurance-aware"},
-        // Registry-key spellings accepted as parse aliases.
-        util::EnumName<SelectionPolicy>{SelectionPolicy::NaiveOrder, "naive"},
-        util::EnumName<SelectionPolicy>{SelectionPolicy::EnduranceAware,
-                                        "endurance"},
-    }};
 
 /// Construction order — the paper's naive configurations.
 class NaiveOrderSelector final : public Selector {
@@ -88,14 +73,6 @@ private:
 
 }  // namespace
 
-std::string to_string(SelectionPolicy policy) {
-  return std::string(kSelectionPolicyNames.name(policy));
-}
-
-SelectionPolicy parse_selection_policy(std::string_view name) {
-  return kSelectionPolicyNames.parse(name);
-}
-
 util::Registry<SelectorFactory>& selectors() {
   static auto* registry = [] {
     auto* reg = new util::Registry<SelectorFactory>("selection policy");
@@ -133,19 +110,6 @@ util::Registry<SelectorFactory>& selectors() {
 
 SelectorPtr make_selector(const util::PolicySpec& spec) {
   return selectors().make(spec);
-}
-
-SelectorPtr make_selector(SelectionPolicy policy) {
-  return make_selector(util::PolicySpec{std::string(selection_key(policy)), {}});
-}
-
-std::string_view selection_key(SelectionPolicy policy) {
-  switch (policy) {
-    case SelectionPolicy::NaiveOrder: return "naive";
-    case SelectionPolicy::Plim21: return "plim21";
-    case SelectionPolicy::EnduranceAware: return "endurance";
-  }
-  throw Error("selection_key: unknown policy");
 }
 
 }  // namespace rlim::plim

@@ -12,26 +12,6 @@
 
 namespace rlim::plim {
 
-/// Node selection policy — the order in which computable MIG nodes are
-/// translated to RM3 instructions. The enum covers the paper's three
-/// orderings; parameterized policies register into selectors() instead.
-enum class SelectionPolicy {
-  /// No selection: nodes are compiled in construction (topological index)
-  /// order. The paper's "naive" configurations use this.
-  NaiveOrder,
-  /// [21]: maximize the number of RRAMs released by the node; ties broken by
-  /// the smaller fanout level index. Greedy for area.
-  Plim21,
-  /// Paper Algorithm 3: *smallest fanout level index first* (shortest
-  /// storage duration ⇒ cells cycle through the free list with similar
-  /// frequency); ties broken by the larger number of releasing RRAMs.
-  EnduranceAware,
-};
-
-[[nodiscard]] std::string to_string(SelectionPolicy policy);
-/// Inverse of to_string over every enumerator (throws rlim::Error).
-[[nodiscard]] SelectionPolicy parse_selection_policy(std::string_view name);
-
 /// Context the compiler exposes when ranking a candidate node.
 struct CandidateInfo {
   std::uint32_t gate = 0;          ///< topological node index
@@ -65,19 +45,23 @@ public:
 using SelectorPtr = std::unique_ptr<Selector>;
 using SelectorFactory = std::function<SelectorPtr(const util::Params&)>;
 
-/// Registry of node-selection policies. Built-ins: `naive`, `plim21`,
-/// `endurance` (the enum-backed orderings) and `wear_quota` (parameter
-/// `quota`, default 8): endurance-aware ordering under a per-level quota —
-/// a fanout level that has charged `quota` compiled nodes is demoted behind
-/// every fresher level, rotating selection pressure across levels instead of
-/// draining one level's long-lived cells at a time.
+/// Registry of node-selection policies — the order in which computable MIG
+/// nodes are translated to RM3 instructions. Built-ins:
+///   naive       construction (topological index) order; the paper's
+///               "naive" configurations use this
+///   plim21      [21]: most releasing RRAMs first, ties broken by the
+///               smaller fanout level index (greedy for area)
+///   endurance   paper Algorithm 3: smallest fanout level index first
+///               (shortest storage duration ⇒ cells cycle through the free
+///               list with similar frequency), then most releasing RRAMs
+///   wear_quota  (parameter `quota`, default 8) endurance ordering under a
+///               per-level quota — a fanout level that has charged `quota`
+///               compiled nodes is demoted behind every fresher level,
+///               rotating selection pressure across levels instead of
+///               draining one level's long-lived cells at a time
 [[nodiscard]] util::Registry<SelectorFactory>& selectors();
 
 /// Normalizes `spec` against selectors() and constructs the policy object.
 [[nodiscard]] SelectorPtr make_selector(const util::PolicySpec& spec);
-/// The enum-backed built-ins, by value.
-[[nodiscard]] SelectorPtr make_selector(SelectionPolicy policy);
-/// Registry key of an enum-backed policy ("naive", "plim21", "endurance").
-[[nodiscard]] std::string_view selection_key(SelectionPolicy policy);
 
 }  // namespace rlim::plim

@@ -6,8 +6,14 @@
 namespace rlim::plim {
 namespace {
 
+/// A CellAllocator over the registered allocation policy `key`.
+CellAllocator with_policy(const char* key,
+                          std::optional<std::uint64_t> cap = std::nullopt) {
+  return CellAllocator(make_allocator({key, {}}), cap);
+}
+
 TEST(Allocator, GrowsWhenFreeSetEmpty) {
-  CellAllocator alloc({AllocPolicy::Lifo, std::nullopt});
+  auto alloc = with_policy("lifo");
   EXPECT_EQ(alloc.acquire(), 0u);
   EXPECT_EQ(alloc.acquire(), 1u);
   EXPECT_EQ(alloc.num_cells(), 2u);
@@ -15,7 +21,7 @@ TEST(Allocator, GrowsWhenFreeSetEmpty) {
 }
 
 TEST(Allocator, LifoReturnsMostRecentlyFreed) {
-  CellAllocator alloc({AllocPolicy::Lifo, std::nullopt});
+  auto alloc = with_policy("lifo");
   const auto a = alloc.acquire();
   const auto b = alloc.acquire();
   const auto c = alloc.acquire();
@@ -28,7 +34,7 @@ TEST(Allocator, LifoReturnsMostRecentlyFreed) {
 }
 
 TEST(Allocator, FifoReturnsOldestFreed) {
-  CellAllocator alloc({AllocPolicy::Fifo, std::nullopt});
+  auto alloc = with_policy("fifo");
   const auto a = alloc.acquire();
   const auto b = alloc.acquire();
   alloc.release(b);
@@ -38,7 +44,7 @@ TEST(Allocator, FifoReturnsOldestFreed) {
 }
 
 TEST(Allocator, RoundRobinCyclesThroughIndices) {
-  CellAllocator alloc({AllocPolicy::RoundRobin, std::nullopt});
+  auto alloc = with_policy("round_robin");
   const auto a = alloc.acquire();  // 0
   const auto b = alloc.acquire();  // 1
   const auto c = alloc.acquire();  // 2
@@ -54,7 +60,7 @@ TEST(Allocator, RoundRobinCyclesThroughIndices) {
 }
 
 TEST(Allocator, MinWritePicksLeastWrittenCell) {
-  CellAllocator alloc({AllocPolicy::MinWrite, std::nullopt});
+  auto alloc = with_policy("min_write");
   const auto a = alloc.acquire();
   const auto b = alloc.acquire();
   const auto c = alloc.acquire();
@@ -70,7 +76,7 @@ TEST(Allocator, MinWritePicksLeastWrittenCell) {
 }
 
 TEST(Allocator, MinWriteTieBreaksDeterministically) {
-  CellAllocator alloc({AllocPolicy::MinWrite, std::nullopt});
+  auto alloc = with_policy("min_write");
   const auto a = alloc.acquire();
   const auto b = alloc.acquire();
   alloc.release(b);
@@ -80,7 +86,7 @@ TEST(Allocator, MinWriteTieBreaksDeterministically) {
 }
 
 TEST(Allocator, AddLiveCellStartsInUse) {
-  CellAllocator alloc({AllocPolicy::Lifo, std::nullopt});
+  auto alloc = with_policy("lifo");
   const auto pi = alloc.add_live_cell();
   EXPECT_EQ(alloc.num_cells(), 1u);
   EXPECT_EQ(alloc.free_count(), 0u);
@@ -90,7 +96,7 @@ TEST(Allocator, AddLiveCellStartsInUse) {
 }
 
 TEST(Allocator, WriteAccounting) {
-  CellAllocator alloc({AllocPolicy::Lifo, std::nullopt});
+  auto alloc = with_policy("lifo");
   const auto a = alloc.acquire();
   alloc.note_write(a);
   alloc.note_write(a);
@@ -99,12 +105,12 @@ TEST(Allocator, WriteAccounting) {
 }
 
 TEST(Allocator, CapBelowThreeThrows) {
-  EXPECT_THROW(CellAllocator({AllocPolicy::Lifo, 2}), Error);
-  EXPECT_NO_THROW(CellAllocator({AllocPolicy::Lifo, 3}));
+  EXPECT_THROW(static_cast<void>(with_policy("lifo", 2)), Error);
+  EXPECT_NO_THROW(static_cast<void>(with_policy("lifo", 3)));
 }
 
 TEST(Allocator, QuarantineAtCapRetiresCell) {
-  CellAllocator alloc({AllocPolicy::Lifo, 3});
+  auto alloc = with_policy("lifo", 3);
   const auto a = alloc.acquire();
   alloc.note_write(a);
   alloc.note_write(a);
@@ -118,7 +124,7 @@ TEST(Allocator, QuarantineAtCapRetiresCell) {
 }
 
 TEST(Allocator, HeadroomSkipsNearCapCells) {
-  CellAllocator alloc({AllocPolicy::MinWrite, 4});
+  auto alloc = with_policy("min_write", 4);
   const auto a = alloc.acquire();
   alloc.note_write(a);
   alloc.note_write(a);  // 2 writes; headroom left = 2
@@ -131,7 +137,7 @@ TEST(Allocator, HeadroomSkipsNearCapCells) {
 }
 
 TEST(Allocator, WritableWithoutCapAlwaysTrue) {
-  CellAllocator alloc({AllocPolicy::Lifo, std::nullopt});
+  auto alloc = with_policy("lifo");
   const auto a = alloc.acquire();
   for (int i = 0; i < 100; ++i) {
     alloc.note_write(a);
@@ -141,7 +147,7 @@ TEST(Allocator, WritableWithoutCapAlwaysTrue) {
 }
 
 TEST(Allocator, UnknownCellThrows) {
-  CellAllocator alloc({AllocPolicy::Lifo, std::nullopt});
+  auto alloc = with_policy("lifo");
   EXPECT_THROW(alloc.release(3), Error);
   EXPECT_THROW(alloc.note_write(3), Error);
   EXPECT_THROW(static_cast<void>(alloc.write_count(3)), Error);
@@ -149,14 +155,16 @@ TEST(Allocator, UnknownCellThrows) {
 }
 
 TEST(Allocator, PolicyNames) {
-  EXPECT_EQ(to_string(AllocPolicy::Lifo), "lifo");
-  EXPECT_EQ(to_string(AllocPolicy::Fifo), "fifo");
-  EXPECT_EQ(to_string(AllocPolicy::RoundRobin), "round-robin");
-  EXPECT_EQ(to_string(AllocPolicy::MinWrite), "min-write");
+  // The registry keys are the canonical `alloc=` spellings inside config
+  // keys, store entries, and CSV title lines.
+  for (const char* key :
+       {"lifo", "fifo", "round_robin", "min_write", "start_gap"}) {
+    EXPECT_NE(allocators().find(key), nullptr) << key;
+  }
 }
 
 TEST(Allocator, MoveSemantics) {
-  CellAllocator alloc({AllocPolicy::Lifo, std::nullopt});
+  auto alloc = with_policy("lifo");
   const auto a = alloc.acquire();
   alloc.note_write(a);
   CellAllocator moved = std::move(alloc);
@@ -169,7 +177,7 @@ TEST(Allocator, MoveSemantics) {
 TEST(Allocator, RoundRobinSkipsQuarantinedCellsMidRotation) {
   // Cap reached mid-rotation: the quarantined cell drops out of the cycle
   // while the rest keep rotating in index order.
-  CellAllocator alloc({AllocPolicy::RoundRobin, 3});
+  auto alloc = with_policy("round_robin", 3);
   const auto a = alloc.acquire();  // 0
   const auto b = alloc.acquire();  // 1
   const auto c = alloc.acquire();  // 2
@@ -192,7 +200,7 @@ TEST(Allocator, RoundRobinSkipsQuarantinedCellsMidRotation) {
 }
 
 TEST(Allocator, FifoDropsQuarantinedCellsFromTheQueue) {
-  CellAllocator alloc({AllocPolicy::Fifo, 3});
+  auto alloc = with_policy("fifo", 3);
   const auto a = alloc.acquire();
   const auto b = alloc.acquire();
   alloc.note_write(a);

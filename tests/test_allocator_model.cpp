@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "plim/allocator.hpp"
@@ -15,6 +16,21 @@
 
 namespace rlim::plim {
 namespace {
+
+/// The reference model's own policy enumeration, independent of the
+/// registry it is checked against.
+enum class AllocPolicy { Lifo, Fifo, RoundRobin, MinWrite };
+
+/// Registry key of the policy the model mirrors.
+std::string to_string(AllocPolicy policy) {
+  switch (policy) {
+    case AllocPolicy::Lifo: return "lifo";
+    case AllocPolicy::Fifo: return "fifo";
+    case AllocPolicy::RoundRobin: return "round_robin";
+    case AllocPolicy::MinWrite: return "min_write";
+  }
+  return "?";
+}
 
 /// Reference allocator: same contract, naive data structures.
 class ModelAllocator {
@@ -127,7 +143,7 @@ TEST_P(AllocatorModelCheck, AgreesWithReferenceOnRandomSequences) {
   const std::optional<std::uint64_t> cap =
       cap_value == 0 ? std::nullopt : std::optional<std::uint64_t>(cap_value);
 
-  CellAllocator real({policy, cap});
+  CellAllocator real(make_allocator({to_string(policy), {}}), cap);
   ModelAllocator model(policy, cap);
   util::Xoshiro256 rng(seed);
 
@@ -177,15 +193,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 5, 12),
                        ::testing::Values(1u, 2u, 3u)),
     [](const auto& info) {
-      auto name = to_string(std::get<0>(info.param)) + "_cap" +
-                  std::to_string(std::get<1>(info.param)) + "_seed" +
-                  std::to_string(std::get<2>(info.param));
-      for (auto& ch : name) {
-        if (ch == '-') {
-          ch = '_';
-        }
-      }
-      return name;
+      return to_string(std::get<0>(info.param)) + "_cap" +
+             std::to_string(std::get<1>(info.param)) + "_seed" +
+             std::to_string(std::get<2>(info.param));
     });
 
 }  // namespace

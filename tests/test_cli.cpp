@@ -8,6 +8,7 @@
 #include "benchmarks/arithmetic.hpp"
 #include "cli.hpp"
 #include "mig/io.hpp"
+#include "test_helpers.hpp"
 
 namespace rlim::cli {
 namespace {
@@ -44,7 +45,7 @@ CliResult run_cli(std::vector<std::string> args, const std::string& input) {
 }
 
 std::string temp_netlist() {
-  const auto path = ::testing::TempDir() + "/cli_adder.mig";
+  const auto path = (test::scratch_dir() / "cli_adder.mig").string();
   mig::write_mig_file(bench::make_adder(4), path);
   return path;
 }
@@ -169,7 +170,7 @@ TEST(Cli, BadFormatFails) {
 
 TEST(Cli, RewriteRoundTrip) {
   const auto input = temp_netlist();
-  const auto output = ::testing::TempDir() + "/cli_rewritten.blif";
+  const auto output = (test::scratch_dir() / "cli_rewritten.blif").string();
   const auto result = run_cli({"rewrite", input, output, "--flow", "endurance"});
   EXPECT_EQ(result.code, 0) << result.err;
   EXPECT_NE(result.out.find("gates:"), std::string::npos);
@@ -180,15 +181,15 @@ TEST(Cli, RewriteRoundTrip) {
 
 TEST(Cli, RewriteLevelFlow) {
   const auto input = temp_netlist();
-  const auto output = ::testing::TempDir() + "/cli_level.mig";
+  const auto output = (test::scratch_dir() / "cli_level.mig").string();
   const auto result = run_cli({"rewrite", input, output, "--flow", "level"});
   EXPECT_EQ(result.code, 0) << result.err;
 }
 
 TEST(Cli, RewriteSeqFlowMatchesNamedAlias) {
   const auto input = temp_netlist();
-  const auto by_alias = ::testing::TempDir() + "/cli_seq_alias.mig";
-  const auto by_list = ::testing::TempDir() + "/cli_seq_list.mig";
+  const auto by_alias = (test::scratch_dir() / "cli_seq_alias.mig").string();
+  const auto by_list = (test::scratch_dir() / "cli_seq_list.mig").string();
   const auto alias = run_cli({"rewrite", input, by_alias, "--flow", "endurance"});
   const auto listed =
       run_cli({"rewrite", input, by_list, "--flow", "seq", "--passes",
@@ -206,7 +207,7 @@ TEST(Cli, RewriteSeqFlowMatchesNamedAlias) {
 
 TEST(Cli, RewriteUntilStopsAfterNamedPass) {
   const auto input = temp_netlist();
-  const auto output = ::testing::TempDir() + "/cli_until.mig";
+  const auto output = (test::scratch_dir() / "cli_until.mig").string();
   const auto result = run_cli({"rewrite", input, output, "--flow", "endurance",
                                "--until", "dist"});
   EXPECT_EQ(result.code, 0) << result.err;
@@ -221,7 +222,7 @@ TEST(Cli, RewriteUntilStopsAfterNamedPass) {
 
 TEST(Cli, RewriteDumpAfterStreamsToStderr) {
   const auto input = temp_netlist();
-  const auto output = ::testing::TempDir() + "/cli_dumped.mig";
+  const auto output = (test::scratch_dir() / "cli_dumped.mig").string();
   const auto result = run_cli({"rewrite", input, output, "--flow", "plim21",
                                "--dump-after", "-"});
   EXPECT_EQ(result.code, 0) << result.err;
@@ -230,16 +231,15 @@ TEST(Cli, RewriteDumpAfterStreamsToStderr) {
 }
 
 TEST(Cli, BadStrategyAndFlowFail) {
+  const auto output = (test::scratch_dir() / "x.mig").string();
   EXPECT_EQ(run_cli({"compile", temp_netlist(), "--strategy", "bogus"}).code, 1);
-  EXPECT_EQ(run_cli({"rewrite", temp_netlist(), "/tmp/x.mig", "--flow", "bogus"})
-                .code,
-            1);
-  // seq requires --passes, and --passes only makes sense with seq.
   EXPECT_EQ(
-      run_cli({"rewrite", temp_netlist(), "/tmp/x.mig", "--flow", "seq"}).code,
-      1);
-  EXPECT_EQ(run_cli({"rewrite", temp_netlist(), "/tmp/x.mig", "--flow",
-                     "plim21", "--passes", "maj"})
+      run_cli({"rewrite", temp_netlist(), output, "--flow", "bogus"}).code, 1);
+  // seq requires --passes, and --passes only makes sense with seq.
+  EXPECT_EQ(run_cli({"rewrite", temp_netlist(), output, "--flow", "seq"}).code,
+            1);
+  EXPECT_EQ(run_cli({"rewrite", temp_netlist(), output, "--flow", "plim21",
+                     "--passes", "maj"})
                 .code,
             1);
 }
@@ -251,7 +251,8 @@ TEST(Cli, MissingValueFails) {
 }
 
 TEST(Cli, UnknownExtensionFails) {
-  const auto result = run_cli({"info", "/tmp/whatever.v"});
+  const auto result =
+      run_cli({"info", (test::scratch_dir() / "whatever.v").string()});
   EXPECT_EQ(result.code, 1);
 }
 
@@ -468,9 +469,7 @@ TEST(Cli, ServeRequiresStdinJobs) {
 }
 
 TEST(Cli, ServeUsesPersistentStore) {
-  const auto dir =
-      std::filesystem::path(::testing::TempDir()) / "cli_cache_serve";
-  std::filesystem::remove_all(dir);
+  const auto dir = test::scratch_dir() / "cli_cache_serve";
   const std::vector<std::string> args = {"serve", "--stdin-jobs",
                                          "--cache-dir", dir.string()};
   const auto cold = run_cli(args, "bench:ctrl\n");
@@ -485,8 +484,7 @@ TEST(Cli, ServeUsesPersistentStore) {
 // ---- persistent store surface -----------------------------------------------
 
 std::string fresh_cache_dir(const std::string& name) {
-  const auto dir =
-      std::filesystem::path(::testing::TempDir()) / ("cli_cache_" + name);
+  const auto dir = test::scratch_dir() / ("cli_cache_" + name);
   std::filesystem::remove_all(dir);
   return dir.string();
 }

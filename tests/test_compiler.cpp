@@ -164,8 +164,9 @@ TEST(Translation, OrWithLiveOperandsCostsTwoExtra) {
 
 TEST(Compiler, StaticWriteCountsMatchAllocatorStats) {
   const auto graph = test::random_mig(77, 10, 120, 6);
-  for (const auto policy : {AllocPolicy::Lifo, AllocPolicy::MinWrite}) {
-    const auto result = PlimCompiler({SelectionPolicy::Plim21, policy, {}}).compile(graph);
+  for (const char* policy : {"lifo", "min_write"}) {
+    const auto result =
+        PlimCompiler({{"plim21", {}}, {policy, {}}}).compile(graph);
     const auto program_stats =
         util::compute_stats(result.program.static_write_counts());
     EXPECT_EQ(program_stats.count, result.write_stats.count);
@@ -192,38 +193,51 @@ TEST(Compiler, PiBindingsAreComplete) {
 
 // ---- functional correctness across all option combinations --------------------
 
+/// Grid axes: indices into the key tables below, which also label the
+/// instantiated test names.
+enum class Selection { NaiveOrder, Plim21, EnduranceAware };
+enum class Allocation { Lifo, Fifo, RoundRobin, MinWrite };
+constexpr const char* kSelectionKeys[] = {"naive", "plim21", "endurance"};
+constexpr const char* kSelectionLabels[] = {"naive_order", "plim21",
+                                            "endurance_aware"};
+constexpr const char* kAllocationKeys[] = {"lifo", "fifo", "round_robin",
+                                           "min_write"};
+
+const char* key(Selection selection) {
+  return kSelectionKeys[static_cast<int>(selection)];
+}
+const char* key(Allocation allocation) {
+  return kAllocationKeys[static_cast<int>(allocation)];
+}
+
 class CompilerCorrectness
     : public ::testing::TestWithParam<
-          std::tuple<SelectionPolicy, AllocPolicy, std::uint64_t>> {};
+          std::tuple<Selection, Allocation, std::uint64_t>> {};
 
 TEST_P(CompilerCorrectness, ProgramComputesTheMigFunction) {
   const auto [selection, allocation, seed] = GetParam();
   const auto graph = test::random_mig(seed, 11, 140, 7);
   const auto result =
-      PlimCompiler({selection, allocation, {}}).compile(graph);
+      PlimCompiler({{key(selection), {}}, {key(allocation), {}}})
+          .compile(graph);
   EXPECT_TRUE(program_matches_mig(result.program, graph, 12, seed * 3 + 1))
-      << to_string(selection) << " / " << to_string(allocation);
+      << key(selection) << " / " << key(allocation);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, CompilerCorrectness,
-    ::testing::Combine(::testing::Values(SelectionPolicy::NaiveOrder,
-                                         SelectionPolicy::Plim21,
-                                         SelectionPolicy::EnduranceAware),
-                       ::testing::Values(AllocPolicy::Lifo, AllocPolicy::Fifo,
-                                         AllocPolicy::RoundRobin,
-                                         AllocPolicy::MinWrite),
+    ::testing::Combine(::testing::Values(Selection::NaiveOrder,
+                                         Selection::Plim21,
+                                         Selection::EnduranceAware),
+                       ::testing::Values(Allocation::Lifo, Allocation::Fifo,
+                                         Allocation::RoundRobin,
+                                         Allocation::MinWrite),
                        ::testing::Values(17, 99, 1234)),
     [](const auto& info) {
-      auto name = to_string(std::get<0>(info.param)) + "_" +
-                  to_string(std::get<1>(info.param)) + "_" +
-                  std::to_string(std::get<2>(info.param));
-      for (auto& ch : name) {
-        if (ch == '-') {
-          ch = '_';
-        }
-      }
-      return name;
+      return std::string(
+                 kSelectionLabels[static_cast<int>(std::get<0>(info.param))]) +
+             "_" + key(std::get<1>(info.param)) + "_" +
+             std::to_string(std::get<2>(info.param));
     });
 
 // ---- maximum write count strategy ---------------------------------------------
@@ -233,8 +247,7 @@ class MaxWriteCap : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MaxWriteCap, CapIsNeverExceededAndFunctionHolds) {
   const auto cap = GetParam();
   const auto graph = test::random_mig(321, 10, 150, 6);
-  CompilerOptions options{SelectionPolicy::EnduranceAware, AllocPolicy::MinWrite,
-                          cap};
+  CompilerOptions options{{"endurance", {}}, {"min_write", {}}, cap};
   const auto result = PlimCompiler(options).compile(graph);
   EXPECT_LE(result.write_stats.max, cap);
   EXPECT_TRUE(program_matches_mig(result.program, graph, 12, cap));
@@ -245,11 +258,9 @@ INSTANTIATE_TEST_SUITE_P(Caps, MaxWriteCap, ::testing::Values(3, 5, 10, 20, 50))
 TEST(MaxWrite, TighterCapCostsMoreCells) {
   const auto graph = test::random_mig(555, 10, 200, 8);
   const auto uncapped =
-      PlimCompiler({SelectionPolicy::Plim21, AllocPolicy::MinWrite, {}})
-          .compile(graph);
+      PlimCompiler({{"plim21", {}}, {"min_write", {}}}).compile(graph);
   const auto capped =
-      PlimCompiler({SelectionPolicy::Plim21, AllocPolicy::MinWrite, 4})
-          .compile(graph);
+      PlimCompiler({{"plim21", {}}, {"min_write", {}}, 4}).compile(graph);
   EXPECT_GE(capped.num_cells, uncapped.num_cells);
   EXPECT_GE(capped.num_instructions(), uncapped.num_instructions());
   EXPECT_LE(capped.write_stats.max, 4u);
@@ -258,7 +269,7 @@ TEST(MaxWrite, TighterCapCostsMoreCells) {
 TEST(MaxWrite, QuarantinedCellsReported) {
   const auto graph = test::random_mig(777, 8, 150, 6);
   const auto result =
-      PlimCompiler({SelectionPolicy::Plim21, AllocPolicy::Lifo, 3}).compile(graph);
+      PlimCompiler({{"plim21", {}}, {"lifo", {}}, 3}).compile(graph);
   // With the tightest legal cap some cell must saturate on a graph this size.
   EXPECT_GT(result.quarantined_cells, 0u);
 }
@@ -270,13 +281,12 @@ TEST(Endurance, MinWriteLowersStdevOnAverage) {
   double min_write_total = 0.0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto graph = test::random_mig(seed * 37, 10, 180, 8);
-    lifo_total += PlimCompiler({SelectionPolicy::Plim21, AllocPolicy::Lifo, {}})
+    lifo_total += PlimCompiler({{"plim21", {}}, {"lifo", {}}})
                       .compile(graph)
                       .write_stats.stdev;
-    min_write_total +=
-        PlimCompiler({SelectionPolicy::Plim21, AllocPolicy::MinWrite, {}})
-            .compile(graph)
-            .write_stats.stdev;
+    min_write_total += PlimCompiler({{"plim21", {}}, {"min_write", {}}})
+                           .compile(graph)
+                           .write_stats.stdev;
   }
   EXPECT_LT(min_write_total, lifo_total);
 }
@@ -287,10 +297,9 @@ TEST(Endurance, MinWriteDoesNotChangeCosts) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto graph = test::random_mig(seed * 11, 9, 120, 6);
     const auto lifo =
-        PlimCompiler({SelectionPolicy::Plim21, AllocPolicy::Lifo, {}}).compile(graph);
+        PlimCompiler({{"plim21", {}}, {"lifo", {}}}).compile(graph);
     const auto min_write =
-        PlimCompiler({SelectionPolicy::Plim21, AllocPolicy::MinWrite, {}})
-            .compile(graph);
+        PlimCompiler({{"plim21", {}}, {"min_write", {}}}).compile(graph);
     EXPECT_EQ(lifo.num_instructions(), min_write.num_instructions());
     EXPECT_EQ(lifo.num_cells, min_write.num_cells);
   }
@@ -318,32 +327,33 @@ TEST(Compiler, UnusedPiCellsAreReusable) {
   graph.create_pi();  // unused
   graph.create_po(graph.create_maj(a, b, c));  // needs one temp (0 complements)
   const auto result =
-      PlimCompiler({SelectionPolicy::Plim21, AllocPolicy::Lifo, {}}).compile(graph);
+      PlimCompiler({{"plim21", {}}, {"lifo", {}}}).compile(graph);
   EXPECT_EQ(result.num_cells, 4u);  // temp reused the dead PI cell
   EXPECT_TRUE(program_matches_mig(result.program, graph, 8, 11));
 }
 
 TEST(Compiler, SelectionPolicyNames) {
-  EXPECT_EQ(to_string(SelectionPolicy::NaiveOrder), "naive-order");
-  EXPECT_EQ(to_string(SelectionPolicy::Plim21), "plim21");
-  EXPECT_EQ(to_string(SelectionPolicy::EnduranceAware), "endurance-aware");
+  // The registry keys are the canonical `select=` spellings inside config
+  // keys, store entries, and CSV title lines.
+  for (const char* key : {"naive", "plim21", "endurance", "wear_quota"}) {
+    EXPECT_NE(selectors().find(key), nullptr) << key;
+  }
 }
 
 TEST(Compiler, FactoryOptionsMatchEnumShorthand) {
-  // CompilerOptions built from explicit factories and from the enum-backed
-  // shorthand are the same policies — identical programs.
+  // CompilerOptions built from explicit factories and from policy specs are
+  // the same policies — identical programs.
   const auto graph = test::random_mig(77, 9, 80, 4);
   CompilerOptions factory_options;
   factory_options.selector = [] {
-    return make_selector(SelectionPolicy::EnduranceAware);
+    return make_selector({"endurance", {}});
   };
   factory_options.allocator = [] {
-    return make_allocator(AllocPolicy::MinWrite);
+    return make_allocator({"min_write", {}});
   };
   const auto via_factories = PlimCompiler(factory_options).compile(graph);
   const auto via_enums =
-      PlimCompiler({SelectionPolicy::EnduranceAware, AllocPolicy::MinWrite})
-          .compile(graph);
+      PlimCompiler({{"endurance", {}}, {"min_write", {}}}).compile(graph);
   EXPECT_EQ(via_factories.num_instructions(), via_enums.num_instructions());
   EXPECT_EQ(via_factories.num_cells, via_enums.num_cells);
   EXPECT_DOUBLE_EQ(via_factories.write_stats.stdev,
@@ -366,7 +376,7 @@ TEST(Compiler, WearQuotaSelectorCompilesCorrectPrograms) {
       return make_selector(
           util::PolicySpec{"wear_quota", {{"quota", quota}}});
     };
-    options.allocator = [] { return make_allocator(AllocPolicy::MinWrite); };
+    options.allocator = [] { return make_allocator({"min_write", {}}); };
     const auto result = PlimCompiler(options).compile(graph);
     EXPECT_TRUE(program_matches_mig(result.program, graph, 10, 3))
         << "quota " << quota;
@@ -382,11 +392,10 @@ TEST(Compiler, HugeWearQuotaMatchesEnduranceAware) {
     return make_selector(
         util::PolicySpec{"wear_quota", {{"quota", "1000000"}}});
   };
-  quota_options.allocator = [] { return make_allocator(AllocPolicy::MinWrite); };
+  quota_options.allocator = [] { return make_allocator({"min_write", {}}); };
   const auto quota = PlimCompiler(quota_options).compile(graph);
   const auto endurance =
-      PlimCompiler({SelectionPolicy::EnduranceAware, AllocPolicy::MinWrite})
-          .compile(graph);
+      PlimCompiler({{"endurance", {}}, {"min_write", {}}}).compile(graph);
   EXPECT_EQ(quota.num_instructions(), endurance.num_instructions());
   EXPECT_DOUBLE_EQ(quota.write_stats.stdev, endurance.write_stats.stdev);
 }

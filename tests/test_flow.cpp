@@ -9,6 +9,7 @@
 #include "flow/runner.hpp"
 #include "flow/suite.hpp"
 #include "store/disk_store.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace rlim::flow {
@@ -83,7 +84,7 @@ TEST(FlowSource, MissingFileFailsAsJobError) {
 
 TEST(FlowCache, FullSuiteSweepRewritesEachBenchmarkExactlyOnce) {
   // The acceptance property of the redesign: a full-suite × all-strategies
-  // sweep runs rewrite_plim21 and rewrite_endurance exactly once per
+  // sweep runs the plim21 and endurance rewrite flows exactly once per
   // benchmark, however many configurations consume them.
   const auto& specs = bench::mini_suite();
   std::vector<SourcePtr> sources;
@@ -110,14 +111,14 @@ TEST(FlowCache, FullSuiteSweepRewritesEachBenchmarkExactlyOnce) {
   // Jobs sharing a cache entry share the rewritten graph instance.
   for (std::size_t b = 0; b < n; ++b) {
     EXPECT_EQ(results[b * 5 + 1].prepared, results[b * 5 + 2].prepared)
-        << specs[b].name;  // Plim21 + MinWrite both use RewriteKind::Plim21
+        << specs[b].name;  // Plim21 + MinWrite both use rewrite=plim21
     EXPECT_EQ(results[b * 5 + 3].prepared, results[b * 5 + 4].prepared)
         << specs[b].name;  // both endurance flavours
   }
 }
 
 TEST(FlowRunner, NaiveJobsCompileTheOriginalGraph) {
-  // The paper's naive baseline is "node translation only": RewriteKind::None
+  // The paper's naive baseline is "node translation only": rewrite=none
   // must compile the graph exactly as constructed — no cleanup pass — and
   // share the Source's graph instance instead of a cache copy.
   const auto source = Source::benchmark(bench::mini_suite().front());
@@ -222,7 +223,7 @@ TEST(FlowCache, HandAssembledConfigsShareEntriesAfterNormalization) {
 
 TEST(FlowCache, ProgramCacheCanBeDisabled) {
   const auto source = Source::graph(bench::make_adder(8), "adder8");
-  Runner runner({.jobs = 2, .cache_rewrites = true, .cache_programs = false});
+  Runner runner({.jobs = 2, .cache_programs = false});
   const auto config = core::make_config(core::Strategy::FullEndurance);
   const auto results = runner.run({{source, config, {}}, {source, config, {}}});
   throw_on_error(results);
@@ -233,23 +234,10 @@ TEST(FlowCache, ProgramCacheCanBeDisabled) {
   EXPECT_EQ(results[0].report.instructions, results[1].report.instructions);
 }
 
-TEST(FlowCache, DisablingTheCacheRewritesPerJob) {
-  const auto source = Source::graph(bench::make_adder(8), "adder8");
-  Runner runner({.jobs = 2, .cache_rewrites = false});
-  const auto config = core::make_config(core::Strategy::FullEndurance);
-  const auto results = runner.run({{source, config, {}}, {source, config, {}}});
-  throw_on_error(results);
-  EXPECT_EQ(runner.cache().misses(), 0u);
-  // Independent rewrites of the same graph still agree structurally.
-  EXPECT_EQ(results[0].prepared->fingerprint(),
-            results[1].prepared->fingerprint());
-}
-
 // ---- persistent disk tier --------------------------------------------------
 
 std::string fresh_store_dir(const std::string& name) {
-  const auto dir =
-      std::filesystem::path(::testing::TempDir()) / ("flow_store_" + name);
+  const auto dir = test::scratch_dir() / ("flow_store_" + name);
   std::filesystem::remove_all(dir);
   return dir.string();
 }
@@ -337,22 +325,16 @@ TEST(FlowDiskStore, RunnerIgnoresAmbientEnvironment) {
   // RunnerOptions::cache_dir); the library Runner itself must stay
   // hermetic so tests and benchmarks cannot be skewed — or a user's real
   // store polluted — by an ambient shell variable.
-  ::setenv("RLIM_CACHE_DIR", "/tmp/rlim_must_never_be_touched", 1);
+  const auto untouched = test::scratch_dir() / "must_never_be_touched";
+  ::setenv("RLIM_CACHE_DIR", untouched.c_str(), 1);
   Runner plain({.jobs = 1});
   ::unsetenv("RLIM_CACHE_DIR");
   EXPECT_EQ(plain.cache().disk_store(), nullptr);
+  EXPECT_FALSE(std::filesystem::exists(untouched));
 }
 
 TEST(FlowDiskStore, UnusableCacheDirThrowsAtConstruction) {
   EXPECT_THROW(Runner({.cache_dir = "/proc/definitely/not/writable"}), Error);
-}
-
-TEST(FlowDiskStore, CacheDirRequiresCaching) {
-  // With caching off the jobs never touch the cache, so a disk tier would
-  // be a silent no-op — reject the combination instead.
-  EXPECT_THROW(Runner({.cache_rewrites = false,
-                       .cache_dir = fresh_store_dir("inert")}),
-               Error);
 }
 
 // ---- determinism -----------------------------------------------------------

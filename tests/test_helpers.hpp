@@ -1,6 +1,11 @@
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "mig/mig.hpp"
@@ -8,6 +13,26 @@
 #include "util/rng.hpp"
 
 namespace rlim::test {
+
+/// Scratch directory owned by the running test, named after its suite and
+/// test name. CTest runs every test case as its own process, in parallel
+/// under `ctest -j`, so a shared file name under ::testing::TempDir() races;
+/// this one does not. Wiped on the first call of each test and created on
+/// every call, so a test always starts empty and may call it repeatedly.
+inline std::filesystem::path scratch_dir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = "rlim_" + std::string(info->test_suite_name()) + "." +
+                     info->name();
+  std::replace(name.begin(), name.end(), '/', '_');  // parameterized names
+  const auto dir = std::filesystem::path(::testing::TempDir()) / name;
+  static std::string wiped;  // the test whose directory was last wiped
+  if (wiped != name) {
+    std::filesystem::remove_all(dir);
+    wiped = name;
+  }
+  std::filesystem::create_directories(dir);
+  return dir;
+}
 
 /// Deterministic random MIG for property tests: `gates` is a target (strash
 /// and trivial simplification can make the result smaller).

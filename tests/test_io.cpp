@@ -193,7 +193,7 @@ TEST(Files, MissingFileThrows) {
 
 TEST(Files, WriteReadTempFile) {
   const auto mig = sample_graph();
-  const std::string path = ::testing::TempDir() + "/rlim_io_test.mig";
+  const auto path = (test::scratch_dir() / "rlim_io_test.mig").string();
   write_mig_file(mig, path);
   const auto back = read_mig_file(path);
   EXPECT_TRUE(equivalent_exhaustive(mig, back));

@@ -21,6 +21,7 @@
 #include "pass/seq.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace rlim {
 namespace {
@@ -35,7 +36,7 @@ std::string graph_text(const mig::Mig& graph) {
 }
 
 /// The deterministic slice of a per-pass breakdown (wall time zeroed), so
-/// enum-flow and PassManager telemetry can be compared exactly.
+/// two runs' telemetry can be compared exactly.
 std::vector<mig::PassStats> without_wall(std::vector<mig::PassStats> per_pass) {
   for (auto& pass : per_pass) {
     pass.wall_ns = 0;
@@ -43,10 +44,30 @@ std::vector<mig::PassStats> without_wall(std::vector<mig::PassStats> per_pass) {
   return per_pass;
 }
 
-class PassEnv : public ::testing::Test {
-protected:
-  void SetUp() override { pass::ensure_registered(); }
-};
+/// The deterministic per-pass breakdown as text: one
+/// "name runs applications gate_delta complement_delta depth_delta" group
+/// per pipeline position.
+std::string render(const std::vector<mig::PassStats>& per_pass) {
+  std::string out;
+  for (const auto& pass : per_pass) {
+    out += (out.empty() ? "" : ", ") + pass.name + ' ' +
+           std::to_string(pass.runs) + ' ' +
+           std::to_string(pass.applications) + ' ' +
+           std::to_string(pass.gate_delta) + ' ' +
+           std::to_string(pass.complement_delta) + ' ' +
+           std::to_string(pass.depth_delta);
+  }
+  return out;
+}
+
+/// Runs the registered rewrite flow `key` at `effort`.
+mig::Mig rewrite_with(std::string_view key, int effort, const mig::Mig& graph,
+                      mig::RewriteStats* stats) {
+  return pass::make_rewrite(
+      {std::string(key), {{"effort", std::to_string(effort)}}})(graph, stats);
+}
+
+class PassEnv : public ::testing::Test {};
 
 // ---- registry ---------------------------------------------------------------
 
@@ -83,45 +104,148 @@ TEST_F(PassEnv, SplitPassListValidates) {
                Error);
 }
 
-// ---- alias byte-identity ----------------------------------------------------
+// ---- paper flows ------------------------------------------------------------
 
-TEST_F(PassEnv, AliasSequencesMatchEnumFlowsByteForByte) {
-  // The acceptance criterion: running an enum flow's alias pass list through
-  // the PassManager reproduces the enum-era graph exactly, for every flow,
-  // effort, and a spread of graphs.
-  const auto graphs = {test::random_mig(3, 8, 120, 6),
-                       test::random_mig(77, 5, 40, 3),
-                       bench::make_adder(16)};
-  for (const auto& graph : graphs) {
-    for (const auto kind :
-         {mig::RewriteKind::Plim21, mig::RewriteKind::Endurance,
-          mig::RewriteKind::LevelBalanced}) {
-      for (const int effort : {0, 1, 5}) {
-        mig::RewriteStats enum_stats;
-        const auto golden = mig::rewrite(graph, kind, effort, &enum_stats);
-        mig::RewriteStats seq_stats;
-        const auto manager =
-            pass::make_manager(pass::alias_passes(kind));
-        const auto rebuilt = manager.run(graph, effort, &seq_stats);
-        EXPECT_EQ(graph_text(golden), graph_text(rebuilt))
-            << to_string(kind) << " effort " << effort;
-        // Telemetry matches too (modulo wall time): same pass names, runs,
-        // applications, and deltas in the same order.
-        EXPECT_EQ(without_wall(enum_stats.per_pass),
-                  without_wall(seq_stats.per_pass))
-            << to_string(kind) << " effort " << effort;
-        EXPECT_EQ(enum_stats.cycles_run, seq_stats.cycles_run);
-        EXPECT_EQ(enum_stats.total_applications, seq_stats.total_applications);
-      }
-    }
+TEST_F(PassEnv, PaperFlowsArePinned) {
+  // Every paper flow, at three efforts, on three graphs, run through the
+  // registry. The values were recorded from the hand-written flow loop that
+  // PassManager replaced, so they pin both the pass lists and the loop:
+  // reordering a flow's passes, changing the cycle/fixpoint logic, or
+  // changing an axiom pass moves them.
+  const mig::Mig graphs[] = {test::random_mig(3, 8, 120, 6),
+                             test::random_mig(77, 5, 40, 3),
+                             bench::make_adder(16)};
+  struct Golden {
+    const char* flow;
+    std::size_t graph;
+    int effort;
+    std::uint64_t text_hash;  ///< util::fnv1a64 of graph_text(out)
+    int cycles_run;
+    std::size_t total_applications;
+    const char* per_pass;  ///< render(stats.per_pass)
+  };
+  const Golden goldens[] = {
+      {"plim21", 0, 0, 0xfb2541ff6bc1d4fd, 0, 0,
+       "maj 0 0 0 0 0, dist 0 0 0 0 0, assoc 0 0 0 0 0, comp 0 0 0 0 0, "
+       "maj 0 0 0 0 0, dist 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0"},
+      {"plim21", 0, 1, 0xd8df364d8610f6a7, 1, 16,
+       "maj 1 0 0 0 0, dist 1 0 0 0 0, assoc 1 0 0 0 0, comp 1 1 0 -1 0, "
+       "maj 1 0 0 0 0, dist 1 0 0 0 0, inv 1 15 0 -21 0, inv3 1 0 0 0 0"},
+      {"plim21", 0, 5, 0xd8df364d8610f6a7, 2, 16,
+       "maj 2 0 0 0 0, dist 2 0 0 0 0, assoc 2 0 0 0 0, comp 2 1 0 -1 0, "
+       "maj 2 0 0 0 0, dist 2 0 0 0 0, inv 2 15 0 -21 0, inv3 2 0 0 0 0"},
+      {"plim21", 1, 0, 0x080594e3311e6e4a, 0, 0,
+       "maj 0 0 0 0 0, dist 0 0 0 0 0, assoc 0 0 0 0 0, comp 0 0 0 0 0, "
+       "maj 0 0 0 0 0, dist 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0"},
+      {"plim21", 1, 1, 0x0713c3e8ac3d22be, 1, 7,
+       "maj 1 0 0 0 0, dist 1 1 -1 0 0, assoc 1 0 0 0 0, comp 1 1 -1 -1 -1, "
+       "maj 1 0 0 0 0, dist 1 0 0 0 0, inv 1 5 0 -3 0, inv3 1 0 0 0 0"},
+      {"plim21", 1, 5, 0xc584be040589c42f, 3, 8,
+       "maj 3 0 0 0 0, dist 3 1 -1 0 0, assoc 3 0 0 0 0, comp 3 2 -1 -2 -1, "
+       "maj 3 0 0 0 0, dist 3 0 0 0 0, inv 3 5 0 -3 0, inv3 3 0 0 0 0"},
+      {"plim21", 2, 0, 0x446a1859dfa833dd, 0, 0,
+       "maj 0 0 0 0 0, dist 0 0 0 0 0, assoc 0 0 0 0 0, comp 0 0 0 0 0, "
+       "maj 0 0 0 0 0, dist 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0"},
+      {"plim21", 2, 1, 0x1bdd11e4f6a88a66, 1, 65,
+       "maj 1 0 0 0 0, dist 1 5 -5 -6 0, assoc 1 0 0 0 0, comp 1 0 0 0 0, "
+       "maj 1 0 0 0 0, dist 1 0 0 0 0, inv 1 60 -2 -125 0, inv3 1 0 0 0 0"},
+      {"plim21", 2, 5, 0x1084099158d137e6, 3, 68,
+       "maj 3 0 0 0 0, dist 3 8 -8 -6 0, assoc 3 0 0 0 0, comp 3 0 0 0 0, "
+       "maj 3 0 0 0 0, dist 3 0 0 0 0, inv 3 60 -2 -125 0, inv3 3 0 0 0 0"},
+      {"endurance", 0, 0, 0xfb2541ff6bc1d4fd, 0, 0,
+       "maj 0 0 0 0 0, dist 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0, "
+       "assoc 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0, maj 0 0 0 0 0, "
+       "dist 0 0 0 0 0, inv3 0 0 0 0 0"},
+      {"endurance", 0, 1, 0xa62169714651c301, 1, 15,
+       "maj 1 0 0 0 0, dist 1 0 0 0 0, inv 1 15 0 -23 0, inv3 1 0 0 0 0, "
+       "assoc 1 0 0 0 0, inv 1 0 0 0 0, inv3 1 0 0 0 0, maj 1 0 0 0 0, "
+       "dist 1 0 0 0 0, inv3 1 0 0 0 0"},
+      {"endurance", 0, 5, 0xa62169714651c301, 2, 15,
+       "maj 2 0 0 0 0, dist 2 0 0 0 0, inv 2 15 0 -23 0, inv3 2 0 0 0 0, "
+       "assoc 2 0 0 0 0, inv 2 0 0 0 0, inv3 2 0 0 0 0, maj 2 0 0 0 0, "
+       "dist 2 0 0 0 0, inv3 2 0 0 0 0"},
+      {"endurance", 1, 0, 0x080594e3311e6e4a, 0, 0,
+       "maj 0 0 0 0 0, dist 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0, "
+       "assoc 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0, maj 0 0 0 0 0, "
+       "dist 0 0 0 0 0, inv3 0 0 0 0 0"},
+      {"endurance", 1, 1, 0x2783c15df12922b4, 1, 6,
+       "maj 1 0 0 0 0, dist 1 1 -1 0 0, inv 1 5 0 -3 0, inv3 1 0 0 0 0, "
+       "assoc 1 0 0 0 0, inv 1 0 0 0 0, inv3 1 0 0 0 0, maj 1 0 0 0 0, "
+       "dist 1 0 0 0 0, inv3 1 0 0 0 0"},
+      {"endurance", 1, 5, 0x2783c15df12922b4, 2, 6,
+       "maj 2 0 0 0 0, dist 2 1 -1 0 0, inv 2 5 0 -3 0, inv3 2 0 0 0 0, "
+       "assoc 2 0 0 0 0, inv 2 0 0 0 0, inv3 2 0 0 0 0, maj 2 0 0 0 0, "
+       "dist 2 0 0 0 0, inv3 2 0 0 0 0"},
+      {"endurance", 2, 0, 0x446a1859dfa833dd, 0, 0,
+       "maj 0 0 0 0 0, dist 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0, "
+       "assoc 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0, maj 0 0 0 0 0, "
+       "dist 0 0 0 0 0, inv3 0 0 0 0 0"},
+      {"endurance", 2, 1, 0x1084099158d137e6, 1, 68,
+       "maj 1 0 0 0 0, dist 1 5 -5 -6 0, inv 1 60 -2 -125 0, inv3 1 0 0 0 0, "
+       "assoc 1 0 0 0 0, inv 1 0 0 0 0, inv3 1 0 0 0 0, maj 1 0 0 0 0, "
+       "dist 1 3 -3 0 0, inv3 1 0 0 0 0"},
+      {"endurance", 2, 5, 0x1084099158d137e6, 2, 68,
+       "maj 2 0 0 0 0, dist 2 5 -5 -6 0, inv 2 60 -2 -125 0, inv3 2 0 0 0 0, "
+       "assoc 2 0 0 0 0, inv 2 0 0 0 0, inv3 2 0 0 0 0, maj 2 0 0 0 0, "
+       "dist 2 3 -3 0 0, inv3 2 0 0 0 0"},
+      {"level_balanced", 0, 0, 0xfb2541ff6bc1d4fd, 0, 0,
+       "maj 0 0 0 0 0, dist 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0, "
+       "relief 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0, maj 0 0 0 0 0, "
+       "dist 0 0 0 0 0, inv3 0 0 0 0 0"},
+      {"level_balanced", 0, 1, 0xa62169714651c301, 1, 15,
+       "maj 1 0 0 0 0, dist 1 0 0 0 0, inv 1 15 0 -23 0, inv3 1 0 0 0 0, "
+       "relief 1 0 0 0 0, inv 1 0 0 0 0, inv3 1 0 0 0 0, maj 1 0 0 0 0, "
+       "dist 1 0 0 0 0, inv3 1 0 0 0 0"},
+      {"level_balanced", 0, 5, 0xa62169714651c301, 2, 15,
+       "maj 2 0 0 0 0, dist 2 0 0 0 0, inv 2 15 0 -23 0, inv3 2 0 0 0 0, "
+       "relief 2 0 0 0 0, inv 2 0 0 0 0, inv3 2 0 0 0 0, maj 2 0 0 0 0, "
+       "dist 2 0 0 0 0, inv3 2 0 0 0 0"},
+      {"level_balanced", 1, 0, 0x080594e3311e6e4a, 0, 0,
+       "maj 0 0 0 0 0, dist 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0, "
+       "relief 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0, maj 0 0 0 0 0, "
+       "dist 0 0 0 0 0, inv3 0 0 0 0 0"},
+      {"level_balanced", 1, 1, 0x2783c15df12922b4, 1, 6,
+       "maj 1 0 0 0 0, dist 1 1 -1 0 0, inv 1 5 0 -3 0, inv3 1 0 0 0 0, "
+       "relief 1 0 0 0 0, inv 1 0 0 0 0, inv3 1 0 0 0 0, maj 1 0 0 0 0, "
+       "dist 1 0 0 0 0, inv3 1 0 0 0 0"},
+      {"level_balanced", 1, 5, 0x2783c15df12922b4, 2, 6,
+       "maj 2 0 0 0 0, dist 2 1 -1 0 0, inv 2 5 0 -3 0, inv3 2 0 0 0 0, "
+       "relief 2 0 0 0 0, inv 2 0 0 0 0, inv3 2 0 0 0 0, maj 2 0 0 0 0, "
+       "dist 2 0 0 0 0, inv3 2 0 0 0 0"},
+      {"level_balanced", 2, 0, 0x446a1859dfa833dd, 0, 0,
+       "maj 0 0 0 0 0, dist 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0, "
+       "relief 0 0 0 0 0, inv 0 0 0 0 0, inv3 0 0 0 0 0, maj 0 0 0 0 0, "
+       "dist 0 0 0 0 0, inv3 0 0 0 0 0"},
+      {"level_balanced", 2, 1, 0x1084099158d137e6, 1, 68,
+       "maj 1 0 0 0 0, dist 1 5 -5 -6 0, inv 1 60 -2 -125 0, inv3 1 0 0 0 0, "
+       "relief 1 0 0 0 0, inv 1 0 0 0 0, inv3 1 0 0 0 0, maj 1 0 0 0 0, "
+       "dist 1 3 -3 0 0, inv3 1 0 0 0 0"},
+      {"level_balanced", 2, 5, 0x1084099158d137e6, 2, 68,
+       "maj 2 0 0 0 0, dist 2 5 -5 -6 0, inv 2 60 -2 -125 0, inv3 2 0 0 0 0, "
+       "relief 2 0 0 0 0, inv 2 0 0 0 0, inv3 2 0 0 0 0, maj 2 0 0 0 0, "
+       "dist 2 3 -3 0 0, inv3 2 0 0 0 0"},
+  };
+  ASSERT_EQ(std::size(goldens), 27u);
+  for (const auto& golden : goldens) {
+    mig::RewriteStats stats;
+    const auto out =
+        rewrite_with(golden.flow, golden.effort, graphs[golden.graph], &stats);
+    const auto where = std::string(golden.flow) + " graph " +
+                       std::to_string(golden.graph) + " effort " +
+                       std::to_string(golden.effort);
+    EXPECT_EQ(util::fnv1a64(graph_text(out)), golden.text_hash) << where;
+    EXPECT_EQ(stats.cycles_run, golden.cycles_run) << where;
+    EXPECT_EQ(stats.total_applications, golden.total_applications) << where;
+    EXPECT_EQ(render(stats.per_pass), golden.per_pass) << where;
   }
 }
 
 TEST_F(PassEnv, PerPassBreakdownIsConsistentWithTotals) {
   const auto graph = bench::make_adder(16);
   mig::RewriteStats stats;
-  const auto out = mig::rewrite_endurance(graph, 5, &stats);
-  const auto keys = mig::flow_pass_keys(mig::RewriteKind::Endurance);
+  const auto out = rewrite_with("endurance", 5, graph, &stats);
+  const auto keys =
+      pass::split_pass_list(pass::paper_flow_passes("endurance"));
   ASSERT_EQ(stats.per_pass.size(), keys.size());
   std::size_t applications = 0;
   std::int64_t gate_delta = 0;
@@ -145,8 +269,8 @@ TEST_F(PassEnv, PerPassBreakdownIsConsistentWithTotals) {
 
 TEST_F(PassEnv, UntilEqualsPrefixSequence) {
   const auto graph = test::random_mig(13, 7, 90, 5);
-  const auto full = pass::split_pass_list(
-      pass::alias_passes(mig::RewriteKind::Endurance));
+  const auto full =
+      pass::split_pass_list(pass::paper_flow_passes("endurance"));
   // Running until pass k must equal running the k-prefix sequence, for every
   // prefix cut at the *first* occurrence of the pass name.
   std::set<std::string> seen;
@@ -160,8 +284,7 @@ TEST_F(PassEnv, UntilEqualsPrefixSequence) {
     }
     mig::RewriteStats until_stats;
     const auto via_until =
-        pass::make_manager(pass::alias_passes(mig::RewriteKind::Endurance),
-                           full[k])
+        pass::make_manager(pass::paper_flow_passes("endurance"), full[k])
             .run(graph, 3, &until_stats);
     mig::RewriteStats prefix_stats;
     const auto via_prefix =
@@ -203,9 +326,7 @@ TEST_F(PassEnv, DumpAfterPassIsDeterministic) {
 
 TEST_F(PassEnv, DumpToDirectoryWritesOneDeterministicFilePerPass) {
   const auto graph = test::random_mig(31, 5, 30, 3);
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   "rlim_pass_dumps";
-  std::filesystem::remove_all(dir);
+  const auto dir = test::scratch_dir() / "rlim_pass_dumps";
   auto manager = pass::make_manager("maj,dist");
   manager.on_dump(pass::dump_to_directory(dir.string()));
   static_cast<void>(manager.run(graph, 1));
@@ -261,7 +382,7 @@ TEST_F(PassEnv, SeqSpecRejectsInvalidPassLists) {
 
 TEST_F(PassEnv, SeqFlowMatchesEnumFlowThroughTheFullPipeline) {
   // End to end through core::run_pipeline: a seq spec spelled as the
-  // endurance alias produces the identical report.
+  // endurance flow's pass list produces the identical report.
   const auto graph = test::random_mig(41, 8, 80, 5);
   const auto via_enum = core::run_pipeline(
       graph,
@@ -272,7 +393,7 @@ TEST_F(PassEnv, SeqFlowMatchesEnumFlowThroughTheFullPipeline) {
       graph,
       PipelineConfig::parse(
           "rewrite=seq:passes=" +
-          std::string(pass::alias_passes(mig::RewriteKind::Endurance)) +
+          std::string(pass::paper_flow_passes("endurance")) +
           ",select=endurance,alloc=min_write"),
       "x");
   EXPECT_EQ(via_enum.instructions, via_seq.instructions);

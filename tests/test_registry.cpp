@@ -96,42 +96,6 @@ TEST(Registry, MakeValidatesParameterValues) {
 
 // ---- enum name round-trips -------------------------------------------------
 
-TEST(EnumNames, RewriteKindRoundTripsEveryEnumerator) {
-  for (const auto kind :
-       {mig::RewriteKind::None, mig::RewriteKind::Plim21,
-        mig::RewriteKind::Endurance, mig::RewriteKind::LevelBalanced}) {
-    EXPECT_EQ(mig::parse_rewrite_kind(to_string(kind)), kind);
-  }
-  EXPECT_EQ(mig::parse_rewrite_kind("level_balanced"),
-            mig::RewriteKind::LevelBalanced);
-  EXPECT_THROW(static_cast<void>(mig::parse_rewrite_kind("bogus")), Error);
-}
-
-TEST(EnumNames, SelectionPolicyRoundTripsEveryEnumerator) {
-  for (const auto policy :
-       {plim::SelectionPolicy::NaiveOrder, plim::SelectionPolicy::Plim21,
-        plim::SelectionPolicy::EnduranceAware}) {
-    EXPECT_EQ(plim::parse_selection_policy(to_string(policy)), policy);
-    // The registry key parses to the same enumerator.
-    EXPECT_EQ(plim::parse_selection_policy(
-                  std::string(plim::selection_key(policy))),
-              policy);
-  }
-  EXPECT_THROW(static_cast<void>(plim::parse_selection_policy("bogus")), Error);
-}
-
-TEST(EnumNames, AllocPolicyRoundTripsEveryEnumerator) {
-  for (const auto policy :
-       {plim::AllocPolicy::Lifo, plim::AllocPolicy::Fifo,
-        plim::AllocPolicy::RoundRobin, plim::AllocPolicy::MinWrite}) {
-    EXPECT_EQ(plim::parse_alloc_policy(to_string(policy)), policy);
-    EXPECT_EQ(
-        plim::parse_alloc_policy(std::string(plim::allocation_key(policy))),
-        policy);
-  }
-  EXPECT_THROW(static_cast<void>(plim::parse_alloc_policy("bogus")), Error);
-}
-
 TEST(EnumNames, StrategyRoundTripsEveryEnumerator) {
   for (const auto strategy :
        {Strategy::Naive, Strategy::Plim21, Strategy::MinWrite,
@@ -295,16 +259,14 @@ TEST(RegistryPolicies, StartGapRotationDiffersFromRoundRobin) {
 }
 
 TEST(RegistryPolicies, PresetReportsMatchEnumBackedCompiler) {
-  // The registry path and the enum-backed CompilerOptions shorthand must
-  // produce identical programs — the presets are the same policies.
+  // The preset path and a compiler built straight from the policy specs
+  // must produce identical programs — the presets are the same policies.
   const auto graph = test::random_mig(55, 8, 70, 4);
   const auto via_config = core::run_pipeline(
       graph, core::make_config(Strategy::MinWrite), "x");
-  const auto prepared = mig::rewrite_plim21(graph, 5);
+  const auto prepared = registry::make_rewrite({"plim21", {}})(graph, nullptr);
   const auto via_enums =
-      plim::PlimCompiler({plim::SelectionPolicy::Plim21,
-                          plim::AllocPolicy::MinWrite})
-          .compile(prepared);
+      plim::PlimCompiler({{"plim21", {}}, {"min_write", {}}}).compile(prepared);
   EXPECT_EQ(via_config.instructions, via_enums.num_instructions());
   EXPECT_EQ(via_config.rrams, via_enums.num_cells);
   EXPECT_DOUBLE_EQ(via_config.writes.stdev, via_enums.write_stats.stdev);

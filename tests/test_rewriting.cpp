@@ -6,6 +6,7 @@
 #include "mig/axioms.hpp"
 #include "mig/rewriting.hpp"
 #include "mig/simulate.hpp"
+#include "pass/seq.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -40,10 +41,17 @@ Mig redundant_circuit(int bits) {
   return mig;
 }
 
+/// Runs the registered rewrite flow `key` at `effort`.
+Mig rewrite(const Mig& mig, const std::string& key, int effort = 5,
+            RewriteStats* stats = nullptr) {
+  return pass::make_rewrite({key, {{"effort", std::to_string(effort)}}})(
+      mig, stats);
+}
+
 TEST(Rewriting, Plim21PreservesFunctionOnRedundantCircuit) {
   const auto mig = redundant_circuit(6);
   RewriteStats stats;
-  const auto out = rewrite_plim21(mig, 5, &stats);
+  const auto out = rewrite(mig, "plim21", 5, &stats);
   EXPECT_TRUE(equivalent_exhaustive(mig, out));
   EXPECT_EQ(stats.initial_gates, mig.num_gates());
   EXPECT_EQ(stats.final_gates, out.num_gates());
@@ -51,14 +59,14 @@ TEST(Rewriting, Plim21PreservesFunctionOnRedundantCircuit) {
 
 TEST(Rewriting, EndurancePreservesFunctionOnRedundantCircuit) {
   const auto mig = redundant_circuit(6);
-  const auto out = rewrite_endurance(mig, 5);
+  const auto out = rewrite(mig, "endurance", 5);
   EXPECT_TRUE(equivalent_exhaustive(mig, out));
 }
 
 TEST(Rewriting, EnduranceReducesComplementEdges) {
   const auto mig = redundant_circuit(8);
   RewriteStats stats;
-  rewrite_endurance(mig, 5, &stats);
+  rewrite(mig, "endurance", 5, &stats);
   EXPECT_LT(stats.final_complement_edges, stats.initial_complement_edges);
 }
 
@@ -66,8 +74,8 @@ TEST(Rewriting, BothFlowsReduceGateCount) {
   const auto mig = redundant_circuit(8);
   RewriteStats s1;
   RewriteStats s2;
-  rewrite_plim21(mig, 5, &s1);
-  rewrite_endurance(mig, 5, &s2);
+  rewrite(mig, "plim21", 5, &s1);
+  rewrite(mig, "endurance", 5, &s2);
   EXPECT_LT(s1.final_gates, s1.initial_gates);
   EXPECT_LT(s2.final_gates, s2.initial_gates);
 }
@@ -75,7 +83,7 @@ TEST(Rewriting, BothFlowsReduceGateCount) {
 TEST(Rewriting, EffortZeroOnlyCleansUp) {
   auto mig = redundant_circuit(4);
   RewriteStats stats;
-  const auto out = rewrite_plim21(mig, 0, &stats);
+  const auto out = rewrite(mig, "plim21", 0, &stats);
   EXPECT_EQ(stats.cycles_run, 0);
   EXPECT_EQ(out.num_gates(), mig.cleanup().num_gates());
   EXPECT_TRUE(equivalent_exhaustive(mig, out));
@@ -83,7 +91,7 @@ TEST(Rewriting, EffortZeroOnlyCleansUp) {
 
 TEST(Rewriting, NegativeEffortThrows) {
   const auto mig = redundant_circuit(2);
-  EXPECT_THROW(rewrite_plim21(mig, -1), Error);
+  EXPECT_THROW(rewrite(mig, "plim21", -1), Error);
 }
 
 TEST(Rewriting, EarlyExitAtFixpoint) {
@@ -93,30 +101,34 @@ TEST(Rewriting, EarlyExitAtFixpoint) {
   const auto b = mig.create_pi();
   mig.create_po(mig.create_and(a, b));
   RewriteStats stats;
-  rewrite_plim21(mig, 100, &stats);
+  rewrite(mig, "plim21", 100, &stats);
   EXPECT_LE(stats.cycles_run, 2);
 }
 
 TEST(Rewriting, DispatchMatchesDirectCalls) {
   const auto mig = redundant_circuit(5);
-  const auto none = rewrite(mig, RewriteKind::None);
+  const auto none = pass::make_rewrite({"none", {}})(mig, nullptr);
   EXPECT_EQ(none.num_gates(), mig.cleanup().num_gates());
-  const auto alg1 = rewrite(mig, RewriteKind::Plim21);
-  const auto alg2 = rewrite(mig, RewriteKind::Endurance);
+  const auto alg1 = rewrite(mig, "plim21");
+  const auto alg2 = rewrite(mig, "endurance");
   EXPECT_TRUE(equivalent_exhaustive(mig, alg1));
   EXPECT_TRUE(equivalent_exhaustive(mig, alg2));
 }
 
 TEST(Rewriting, ToStringNames) {
-  EXPECT_EQ(to_string(RewriteKind::None), "none");
-  EXPECT_EQ(to_string(RewriteKind::Plim21), "plim21");
-  EXPECT_EQ(to_string(RewriteKind::Endurance), "endurance");
-  EXPECT_EQ(to_string(RewriteKind::LevelBalanced), "level-balanced");
+  // The flow keys are the canonical spellings inside every config key,
+  // store entry, and CSV title line.
+  std::vector<std::string> keys;
+  for (const auto& info : pass::rewrites().list()) {
+    keys.push_back(info.key);
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"endurance", "level_balanced",
+                                            "none", "plim21", "seq"}));
 }
 
 TEST(Rewriting, LevelBalancedDispatchPreservesFunction) {
   const auto mig = redundant_circuit(5);
-  const auto balanced = rewrite(mig, RewriteKind::LevelBalanced);
+  const auto balanced = rewrite(mig, "level_balanced");
   EXPECT_TRUE(equivalent_exhaustive(mig, balanced));
 }
 
@@ -125,8 +137,8 @@ class RewritePreservation : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RewritePreservation, BothFlowsPreserveRandomFunctions) {
   const auto seed = GetParam();
   const auto mig = test::random_mig(seed, 12, 150, 6);
-  const auto alg1 = rewrite_plim21(mig, 5);
-  const auto alg2 = rewrite_endurance(mig, 5);
+  const auto alg1 = rewrite(mig, "plim21", 5);
+  const auto alg2 = rewrite(mig, "endurance", 5);
   EXPECT_TRUE(equivalent_random(mig, alg1, 16, seed ^ 0xabc))
       << "Algorithm 1 broke seed " << seed;
   EXPECT_TRUE(equivalent_random(mig, alg2, 16, seed ^ 0xdef))
@@ -139,7 +151,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RewritePreservation,
 
 TEST(Rewriting, LevelBalancedFlowPreservesFunction) {
   const auto mig = redundant_circuit(6);
-  const auto out = rewrite_level_balanced(mig, 5);
+  const auto out = rewrite(mig, "level_balanced", 5);
   EXPECT_TRUE(equivalent_exhaustive(mig, out));
 }
 
@@ -176,7 +188,7 @@ TEST(Rewriting, LevelBalancePreservesRandomFunctions) {
 TEST(Rewriting, StatsAccumulateApplications) {
   const auto mig = redundant_circuit(8);
   RewriteStats stats;
-  rewrite_endurance(mig, 5, &stats);
+  rewrite(mig, "endurance", 5, &stats);
   EXPECT_GT(stats.total_applications, 0u);
   EXPECT_GE(stats.cycles_run, 1);
   EXPECT_LE(stats.cycles_run, 5);

@@ -560,11 +560,6 @@ TEST(FlowService, WorkerCountDefaultsToHardwareConcurrency) {
   EXPECT_EQ(fixed.workers(), 3u);
 }
 
-TEST(FlowService, CacheDirRequiresCaching) {
-  EXPECT_THROW(Service({.cache_rewrites = false, .cache_dir = "/tmp/x"}),
-               Error);
-}
-
 TEST(FlowService, OnFinishedFiresOncePerTicketAndAllowsCollection) {
   std::mutex mutex;
   std::vector<Ticket> notified;

@@ -9,10 +9,12 @@
 #include "benchmarks/arithmetic.hpp"
 #include "core/endurance.hpp"
 #include "mig/rewriting.hpp"
+#include "pass/seq.hpp"
 #include "store/disk_store.hpp"
 #include "store/format.hpp"
 #include "store/gc.hpp"
 #include "store/serialize.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -24,7 +26,7 @@ namespace fs = std::filesystem;
 /// Fresh directory under the test temp root, wiped at entry so reruns see a
 /// clean store.
 fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("store_" + name);
+  const fs::path dir = test::scratch_dir() / ("store_" + name);
   fs::remove_all(dir);
   return dir;
 }
@@ -38,6 +40,11 @@ fs::path path_of(const fs::path& root, EntryKind kind,
 }
 
 mig::Mig sample_graph() { return bench::make_adder(6); }
+
+/// `graph` after two cycles of the paper's endurance flow.
+mig::Mig endurance_rewrite(const mig::Mig& graph) {
+  return pass::make_rewrite({"endurance", {{"effort", "2"}}})(graph, nullptr);
+}
 
 mig::RewriteStats sample_stats() {
   mig::RewriteStats stats;
@@ -94,7 +101,7 @@ void expect_same_program(const plim::Program& a, const plim::Program& b) {
 // ---- serialization round-trips ---------------------------------------------
 
 TEST(StoreSerialize, MigRoundTripsExactly) {
-  const auto graph = mig::rewrite_endurance(sample_graph(), 2);
+  const auto graph = endurance_rewrite(sample_graph());
   util::ByteWriter out;
   encode(out, graph);
   util::ByteReader in(out.bytes());
@@ -191,7 +198,7 @@ TEST(StoreSerialize, RandomizedTruncationNeverReadsPastTheEnd) {
   // Every prefix of a valid payload must throw rlim::Error from the
   // bounds-checked reader — never crash, hang, or decode. A fixed seed keeps
   // failures reproducible.
-  ProgramPayload payload{mig::rewrite_endurance(sample_graph(), 2),
+  ProgramPayload payload{endurance_rewrite(sample_graph()),
                          sample_stats(), sample_report()};
   const auto bytes = encode_payload(payload);
   ASSERT_GT(bytes.size(), 64u);
@@ -244,7 +251,7 @@ TEST(StoreSerialize, RejectsTamperedFaninSection) {
 
 TEST(DiskStore, RewriteEntryRoundTripsThroughDisk) {
   DiskStore disk(fresh_dir("rewrite_roundtrip"));
-  const auto graph = mig::rewrite_endurance(sample_graph(), 2);
+  const auto graph = endurance_rewrite(sample_graph());
   const auto fingerprint = sample_graph().fingerprint();
   EXPECT_FALSE(disk.load_rewrite(fingerprint, "endurance:effort=2"));
   ASSERT_TRUE(
@@ -263,7 +270,7 @@ TEST(DiskStore, RewriteEntryRoundTripsThroughDisk) {
 TEST(DiskStore, ProgramEntryRoundTripsThroughDisk) {
   DiskStore disk(fresh_dir("program_roundtrip"));
   const auto report = sample_report();
-  const auto prepared = mig::rewrite_endurance(sample_graph(), 2);
+  const auto prepared = endurance_rewrite(sample_graph());
   const auto fingerprint = sample_graph().fingerprint();
   const auto key = report.config.canonical_key();
   ASSERT_TRUE(disk.store_program(fingerprint, key, prepared, sample_stats(),

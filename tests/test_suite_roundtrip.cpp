@@ -10,8 +10,8 @@
 
 #include "benchmarks/suite.hpp"
 #include "mig/io.hpp"
-#include "mig/rewriting.hpp"
 #include "mig/simulate.hpp"
+#include "pass/seq.hpp"
 
 namespace rlim::bench {
 namespace {
@@ -42,17 +42,12 @@ TEST_P(SuiteRoundTrip, SignatureSurvivesCleanupAndRewriting) {
   const auto graph = spec.build();
   const auto reference = mig::simulation_signature(graph, 8, 0xC0FFEE);
   EXPECT_EQ(mig::simulation_signature(graph.cleanup(), 8, 0xC0FFEE), reference);
-  EXPECT_EQ(mig::simulation_signature(mig::rewrite_plim21(graph, 3), 8, 0xC0FFEE),
-            reference)
-      << spec.name;
-  EXPECT_EQ(
-      mig::simulation_signature(mig::rewrite_endurance(graph, 3), 8, 0xC0FFEE),
-      reference)
-      << spec.name;
-  EXPECT_EQ(mig::simulation_signature(mig::rewrite_level_balanced(graph, 3), 8,
-                                      0xC0FFEE),
-            reference)
-      << spec.name;
+  for (const auto& flow : pass::kPaperFlows) {
+    const auto rewritten = pass::make_rewrite(
+        {std::string(flow.key), {{"effort", "3"}}})(graph, nullptr);
+    EXPECT_EQ(mig::simulation_signature(rewritten, 8, 0xC0FFEE), reference)
+        << spec.name << " / " << flow.key;
+  }
 }
 
 TEST_P(SuiteRoundTrip, GeneratorsAreDeterministic) {

@@ -8,6 +8,7 @@
 #include <limits>
 #include <vector>
 
+#include "test_helpers.hpp"
 #include "util/codec.hpp"
 #include "util/mmap_file.hpp"
 #include "util/error.hpp"
@@ -370,7 +371,7 @@ TEST(Codec, RecycledWriterReusesCapacityAndStartsEmpty) {
 }
 
 TEST(MmapFileTest, MapsWholeFileAndCloses) {
-  const auto path = std::filesystem::path(::testing::TempDir()) / "mmap_probe.bin";
+  const auto path = test::scratch_dir() / "mmap_probe.bin";
   const std::string payload = "rlim mmap probe\n";
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -388,13 +389,12 @@ TEST(MmapFileTest, MapsWholeFileAndCloses) {
 
 TEST(MmapFileTest, MissingFileIsAMissNotAnError) {
   MmapFile file;
-  EXPECT_FALSE(file.open(std::filesystem::path(::testing::TempDir()) /
-                         "does_not_exist.bin"));
+  EXPECT_FALSE(file.open(test::scratch_dir() / "does_not_exist.bin"));
   EXPECT_FALSE(file.is_open());
 }
 
 TEST(MmapFileTest, MoveTransfersTheView) {
-  const auto path = std::filesystem::path(::testing::TempDir()) / "mmap_move.bin";
+  const auto path = test::scratch_dir() / "mmap_move.bin";
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << "abc";

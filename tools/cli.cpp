@@ -200,7 +200,7 @@ core::PipelineConfig config_from(const Options& options) {
     config.set_effort(*options.effort);
     // set_effort bypasses parse()'s eager validation — re-check so a bad
     // --effort fails here instead of per-job deep inside the batch.
-    (void)mig::make_rewrite(config.rewrite);
+    (void)pass::make_rewrite(config.rewrite);
   }
   return config;
 }
@@ -300,26 +300,26 @@ void print_pass_breakdown(const std::vector<mig::PassStats>& per_pass,
 
 int cmd_rewrite(const Options& options, std::ostream& out, std::ostream& err) {
   require(options.positional.size() == 2, "rewrite needs <input> <output>");
-  pass::ensure_registered();
   const auto graph = load_netlist(options.positional[0]);
 
   // Resolve --flow (+ --passes for seq) to a pass list, so every flow runs
-  // through the same PassManager and supports --until / --dump-after. The
-  // named flows use their alias sequences — byte-identical to the enum-era
-  // mig::rewrite_* entry points (the test suite pins this down).
-  std::string list;
+  // through a PassManager built here and supports --until / --dump-after.
+  // The paper flows read their lists from the registered flow table.
+  std::string_view list;
   if (options.flow == "seq") {
     require(!options.passes.empty(), "--flow seq needs --passes");
     list = options.passes;
   } else {
     require(options.passes.empty(), "--passes needs --flow seq");
-    if (options.flow == "plim21") {
-      list = pass::alias_passes(mig::RewriteKind::Plim21);
-    } else if (options.flow == "endurance") {
-      list = pass::alias_passes(mig::RewriteKind::Endurance);
-    } else if (options.flow == "level") {
-      list = pass::alias_passes(mig::RewriteKind::LevelBalanced);
-    } else {
+    for (const auto& flow : pass::kPaperFlows) {
+      // `level` is the CLI's short spelling of level_balanced.
+      const std::string_view flag =
+          flow.key == "level_balanced" ? "level" : flow.key;
+      if (options.flow == flag) {
+        list = flow.passes;
+      }
+    }
+    if (list.empty()) {
       throw Error("unknown flow '" + options.flow +
                   "' (expected plim21, endurance, level, seq)");
     }
@@ -1276,13 +1276,12 @@ int cmd_policies(const Options& options, std::ostream& out) {
   doc.add_note(
       "pass sequences: rewrite=seq:passes=PASS,PASS,...[:until=PASS] runs "
       "`pass`-kind entries in order");
-  doc.add_note(
-      "seq aliases: plim21 = " +
-      std::string(pass::alias_passes(mig::RewriteKind::Plim21)) +
-      "; endurance = " +
-      std::string(pass::alias_passes(mig::RewriteKind::Endurance)) +
-      "; level_balanced = " +
-      std::string(pass::alias_passes(mig::RewriteKind::LevelBalanced)));
+  std::string aliases;
+  for (const auto& flow : pass::kPaperFlows) {
+    aliases += std::string(aliases.empty() ? "" : "; ") +
+               std::string(flow.key) + " = " + std::string(flow.passes);
+  }
+  doc.add_note("seq aliases: " + aliases);
   std::string presets;
   for (const auto& [alias, strategy] : core::strategy_aliases()) {
     if (!presets.empty()) {

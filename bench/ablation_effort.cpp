@@ -1,8 +1,8 @@
 // Ablation: rewriting effort (the paper fixes effort = 5 for all
 // experiments). Sweeps the cycle budget and reports convergence of gate
 // count, complemented edges, and the compiled costs — justifying the paper's
-// choice. The benchmark × effort grid runs as one flow::Runner batch; the
-// rewrite telemetry (cycles actually run) comes from the cache entry.
+// choice. The benchmark × effort grid runs as one flow::Service::run batch;
+// the rewrite telemetry (cycles actually run) comes from the cache entry.
 
 #include <iostream>
 
@@ -11,7 +11,7 @@
 int main(int argc, char** argv) try {
   using namespace rlim;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
   static constexpr int kEfforts[] = {0, 1, 2, 3, 5, 8};
   const char* names[] = {"adder", "sin", "cavlc", "router"};
 
@@ -25,8 +25,8 @@ int main(int argc, char** argv) try {
       jobs.push_back({sources.back(), config, {}});
     }
   }
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
-  const auto results = runner.run(jobs);
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   const auto sink = flow::make_sink(opts.format);

@@ -4,7 +4,7 @@
 // level-balanced MIGs "might not be favorable w.r.t. the length of
 // instructions" — this binary measures that trade-off. Both flows are
 // registered rewrite flows (`rewrite=endurance` / `rewrite=level_balanced`)
-// run as one flow::Runner batch.
+// run as one flow::Service::run batch.
 
 #include <iostream>
 
@@ -44,7 +44,7 @@ double mean_level_gap(const rlim::mig::Mig& graph) {
 int main(int argc, char** argv) try {
   using namespace rlim;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
 
   struct Flow {
     std::string label;
@@ -67,8 +67,8 @@ int main(int argc, char** argv) try {
                       {}});
     }
   }
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
-  const auto results = runner.run(jobs);
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   flow::Report doc;

@@ -1,7 +1,7 @@
 // Ablation: pass orderings inside the rewriting pipeline. The paper's
 // endurance flow (Algorithm 2) interleaves reshaping axioms (Ω.M, Ω.D, Ω.A)
 // with inverter optimisation (Ω.I); this driver sweeps alternative orderings
-// expressed as `rewrite=seq:passes=...` specs through the same flow::Runner
+// expressed as `rewrite=seq:passes=...` specs through the same flow::Service
 // batch, then attributes the winning ordering's cost pass by pass from the
 // per-pass telemetry the cache entry carries.
 
@@ -14,7 +14,7 @@
 int main(int argc, char** argv) try {
   using namespace rlim;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
 
   // Orderings under test. "paper" is the endurance flow's own list (read
   // from the registered flow table, so it cannot drift); the others probe
@@ -44,8 +44,8 @@ int main(int argc, char** argv) try {
       jobs.push_back({sources.back(), config, {}});
     }
   }
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
-  const auto results = runner.run(jobs);
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   const auto sink = flow::make_sink(opts.format);

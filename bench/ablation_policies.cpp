@@ -1,7 +1,7 @@
 // Ablation (extension beyond the paper): selection policy × allocation
 // policy grid on a handful of representative benchmarks, isolating how much
 // each dimension contributes to the write balance. All 12 grid cells per
-// benchmark share one Algorithm-2 rewrite through the Runner's cache.
+// benchmark share one Algorithm-2 rewrite through the Service's cache.
 
 #include <iostream>
 
@@ -10,7 +10,7 @@
 int main(int argc, char** argv) try {
   using namespace rlim;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
   const auto suite = flow::suite();
   // A handful of representative functions keeps the grid readable.
   const char* names[] = {"adder", "sin", "priority", "voter", "cavlc"};
@@ -50,8 +50,8 @@ int main(int argc, char** argv) try {
       }
     }
   }
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
-  const auto results = runner.run(jobs);
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   const auto sink = flow::make_sink(opts.format);

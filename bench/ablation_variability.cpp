@@ -4,7 +4,7 @@
 // even harder than the paper's uniform-endurance analysis suggests. This
 // binary Monte-Carlos arrays with log-normal per-cell endurance and measures
 // executions until the first wrong output, naive flow vs full endurance
-// management. The two compilations per benchmark run as one Runner batch;
+// management. The two compilations per benchmark run as one Service::run batch;
 // the Monte-Carlo replay stays on the main thread.
 
 #include <iostream>
@@ -16,7 +16,7 @@ int main(int argc, char** argv) try {
   using namespace rlim;
   using core::Strategy;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
 
   constexpr std::uint64_t kEndurance = 400;  // scaled-down for simulation
   constexpr unsigned kTrials = 15;
@@ -31,8 +31,8 @@ int main(int argc, char** argv) try {
     jobs.push_back(
         {sources.back(), core::make_config(Strategy::FullEndurance, 20), {}});
   }
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
-  const auto results = runner.run(jobs);
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   flow::Report doc;

@@ -3,7 +3,7 @@
 // fault scenarios through the `fault=` config dimension: stuck-at defects,
 // stuck-at + spare-cell remapping, resistance drift, and mixed-mode region
 // partitioning. Because the scenario lives in the PipelineConfig, the sweep
-// itself executes inside the Runner's compile step (and lands in the
+// itself executes inside the Service's compile step (and lands in the
 // pipeline cache); this driver only renders the distributions.
 //
 // The driver also replays the first scenario twice and verifies the
@@ -18,7 +18,7 @@
 int main(int argc, char** argv) try {
   using namespace rlim;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
 
   const char* scenarios[] = {
       "full,fault=stuck:rate=0.001:endurance=400:sigma=0.3:trials=9:runs=300:seed=7",
@@ -39,8 +39,8 @@ int main(int argc, char** argv) try {
           {sources.back(), core::PipelineConfig::parse(scenario), {}});
     }
   }
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
-  const auto results = runner.run(jobs);
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   flow::Report doc;
@@ -76,7 +76,7 @@ int main(int argc, char** argv) try {
   // Determinism self-check: recompiling the first scenario must reproduce
   // the distribution bit-exactly (seeded trials, decorrelated streams).
   {
-    flow::Runner replay({.jobs = opts.jobs, .cache_dir = ""});
+    flow::Service replay({.jobs = opts.jobs, .cache_dir = ""});
     const auto again = replay.run({jobs.front()});
     flow::throw_on_error(again);
     if (!(again.front().report.fault_sweep == results.front().report.fault_sweep)) {

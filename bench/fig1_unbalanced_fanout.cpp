@@ -4,7 +4,7 @@
 // chain. This binary makes the phenomenon quantitative: it prints the
 // per-cell write histogram under each strategy and shows how the maximum
 // write strategy bounds the hot cell at the cost of extra cells. The five
-// configurations compile one shared in-memory Source through flow::Runner.
+// configurations compile one shared in-memory Source through flow::Service.
 
 #include <iostream>
 
@@ -36,7 +36,7 @@ rlim::mig::Mig fig1_chain(int length) {
 int main(int argc, char** argv) try {
   using namespace rlim;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
   constexpr int kLength = 64;
   const auto source = flow::Source::graph(fig1_chain(kLength), "fig1");
 
@@ -57,8 +57,8 @@ int main(int argc, char** argv) try {
   for (const auto& c : cases) {
     jobs.push_back({source, c.config, {}});
   }
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
-  const auto results = runner.run(jobs);
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   flow::Report doc;

@@ -82,7 +82,7 @@ double cell_occupancy(const rlim::plim::Program& program) {
 int main(int argc, char** argv) try {
   using namespace rlim;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
   constexpr int kWidth = 24;
   const auto source = flow::Source::graph(fig2_blocked(kWidth), "fig2");
 
@@ -102,8 +102,8 @@ int main(int argc, char** argv) try {
         "rewrite=none,select=" + c.selection + ",alloc=min_write");
     jobs.push_back({source, config, {}});
   }
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
-  const auto results = runner.run(jobs);
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   flow::Report doc;

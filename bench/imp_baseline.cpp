@@ -1,7 +1,7 @@
 // Paper §II baseline: IMPLY-based NAND execution concentrates every write on
 // a tiny work-device pool [16], [17], while PLiM's RM3 shares writes across
 // operand cells. This binary quantifies that contrast per benchmark. The
-// PLiM side runs as a flow::Runner batch; the IMP wear model reads the
+// PLiM side runs as a flow::Service::run batch; the IMP wear model reads the
 // shared Sources' original graphs.
 
 #include <iostream>
@@ -14,15 +14,15 @@ int main(int argc, char** argv) try {
   using namespace rlim;
   using core::Strategy;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
   const auto sources = flow::suite_sources();
 
   std::vector<flow::Job> jobs;
   for (const auto& source : sources) {
     jobs.push_back({source, core::make_config(Strategy::FullEndurance), {}});
   }
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
-  const auto results = runner.run(jobs);
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   flow::Report doc;

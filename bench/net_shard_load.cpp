@@ -3,8 +3,7 @@
 // throughput (items_per_second == jobs/sec, pipelined batches) and the
 // p50/p99 of sequential single-job round-trips (microseconds) — the
 // transport-plus-cache-path latency once the shards are warm. Compiled
-// into the perf_micro binary so the numbers land in the committed
-// BENCH_perf_micro.json baseline alongside the pipeline-stage benchmarks.
+// into the perf_micro binary alongside the pipeline-stage benchmarks.
 
 #include <benchmark/benchmark.h>
 

@@ -4,13 +4,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "benchmarks/arithmetic.hpp"
 #include "core/endurance.hpp"
 #include "fault/array.hpp"
 #include "fault/fault.hpp"
-#include "flow/runner.hpp"
+#include "flow/service.hpp"
 #include "flow/suite.hpp"
 #include "mig/simulate.hpp"
 #include "pass/seq.hpp"
@@ -193,40 +195,52 @@ std::vector<flow::Job> adder_strategy_jobs() {
   return jobs;
 }
 
-// Batch throughput of the flow job-runner with a cold rewrite cache per
+// Batch throughput of flow::Service::run with a cold rewrite cache per
 // iteration. The thread-count argument shows the --jobs scaling of the
-// sweep drivers.
+// sweep drivers. Every BM_FlowBatch* runs on real time: the work happens on
+// the service's workers, not on the timing thread.
 void BM_FlowBatch(benchmark::State& state) {
   const auto jobs = adder_strategy_jobs();
   for (auto _ : state) {
-    flow::Runner runner({.jobs = static_cast<unsigned>(state.range(0))});
-    benchmark::DoNotOptimize(runner.run(jobs));
+    flow::Service service({.jobs = static_cast<unsigned>(state.range(0))});
+    benchmark::DoNotOptimize(service.run(jobs));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs.size()));
 }
-BENCHMARK(BM_FlowBatch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FlowBatch)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
-// The same batch against a persistent Runner whose program cache is already
+// The same batch against a persistent Service whose program cache is already
 // warm: every job is a (fingerprint, canonical config key) hit, so the
 // pipeline work collapses to cache lookups + report copies. The gap to
 // BM_FlowBatch/1 is the compile-cache win for repeated sweeps.
 void BM_FlowBatchWarmProgramCache(benchmark::State& state) {
   const auto jobs = adder_strategy_jobs();
-  flow::Runner runner({.jobs = 1});
-  benchmark::DoNotOptimize(runner.run(jobs));  // cold fill
+  flow::Service service({.jobs = 1});
+  benchmark::DoNotOptimize(service.run(jobs));  // cold fill
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.run(jobs));
+    benchmark::DoNotOptimize(service.run(jobs));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs.size()));
 }
-BENCHMARK(BM_FlowBatchWarmProgramCache)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FlowBatchWarmProgramCache)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
-std::string perf_store_dir() {
-  return (std::filesystem::temp_directory_path() / "rlim_perf_store")
-      .string();
+/// Private scratch directory of this process: concurrent perf_micro runs
+/// (and unrelated directories of a similar name) are never clobbered by the
+/// remove_all calls below.
+std::filesystem::path perf_scratch_dir(const std::string& name) {
+  return std::filesystem::temp_directory_path() /
+         ("rlim_perf_" + name + "_" + std::to_string(::getpid()));
 }
+
+std::string perf_store_dir() { return perf_scratch_dir("store").string(); }
 
 // Cold disk store: every iteration starts from an empty store, so the
 // pipeline work runs in full *plus* the write-through serialization. The
@@ -238,16 +252,18 @@ void BM_FlowBatchColdDiskStore(benchmark::State& state) {
     state.PauseTiming();
     std::filesystem::remove_all(dir);
     state.ResumeTiming();
-    flow::Runner runner({.jobs = 1, .cache_dir = dir});
-    benchmark::DoNotOptimize(runner.run(jobs));
+    flow::Service service({.jobs = 1, .cache_dir = dir});
+    benchmark::DoNotOptimize(service.run(jobs));
   }
   std::filesystem::remove_all(dir);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs.size()));
 }
-BENCHMARK(BM_FlowBatchColdDiskStore)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FlowBatchColdDiskStore)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
-// Warm disk store, cold process: a fresh Runner per iteration (its
+// Warm disk store, cold process: a fresh Service per iteration (its
 // in-memory cache empty, as a new invocation would be) against a
 // pre-populated store — every job is a program-level disk hit. Compare
 // with BM_FlowBatch/1 (no cache at all, cold) and
@@ -257,18 +273,20 @@ void BM_FlowBatchWarmDiskStore(benchmark::State& state) {
   const auto dir = perf_store_dir();
   std::filesystem::remove_all(dir);
   {
-    flow::Runner seeder({.jobs = 1, .cache_dir = dir});
+    flow::Service seeder({.jobs = 1, .cache_dir = dir});
     benchmark::DoNotOptimize(seeder.run(jobs));
   }
   for (auto _ : state) {
-    flow::Runner runner({.jobs = 1, .cache_dir = dir});
-    benchmark::DoNotOptimize(runner.run(jobs));
+    flow::Service service({.jobs = 1, .cache_dir = dir});
+    benchmark::DoNotOptimize(service.run(jobs));
   }
   std::filesystem::remove_all(dir);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs.size()));
 }
-BENCHMARK(BM_FlowBatchWarmDiskStore)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FlowBatchWarmDiskStore)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Decode throughput of the store's bulk MIG payload: bytes → validated
 // arena graph (adopt_raw), the dominant work of a disk hit after the frame
@@ -293,7 +311,7 @@ BENCHMARK(BM_StoreDeserializeMig)->Arg(64)->Arg(128)->Unit(benchmark::kMicroseco
 // version / whole-frame FNV check, zero-copy key+payload views. This is the
 // fixed per-entry cost a disk hit pays before any decoding.
 void BM_StoreMapValidate(benchmark::State& state) {
-  const auto dir = std::filesystem::temp_directory_path() / "rlim_perf_entry";
+  const auto dir = perf_scratch_dir("entry");
   std::filesystem::remove_all(dir);
   const auto& graph = adder_graph(64);
   store::IoScratch scratch;

@@ -3,7 +3,7 @@
 // the PCM literature. Start-Gap rotates the logical-to-physical mapping
 // underneath the write trace; we replay each compiled program's trace
 // through it and compare the resulting distributions. Both compilations per
-// benchmark run as one flow::Runner batch.
+// benchmark run as one flow::Service::run batch.
 
 #include <iostream>
 
@@ -14,7 +14,7 @@ int main(int argc, char** argv) try {
   using namespace rlim;
   using core::Strategy;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
   const auto sources = flow::suite_sources();
 
   std::vector<flow::Job> jobs;
@@ -22,8 +22,8 @@ int main(int argc, char** argv) try {
     jobs.push_back({source, core::make_config(Strategy::Naive), {}});
     jobs.push_back({source, core::make_config(Strategy::FullEndurance), {}});
   }
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
-  const auto results = runner.run(jobs);
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   flow::Report doc;

@@ -1,7 +1,7 @@
 // Regenerates paper Table I: min/max/STDEV of per-cell write counts for the
 // five incremental endurance-management configurations, with the improvement
 // of each configuration's STDEV over the naive baseline. Runs the whole
-// benchmark × strategy sweep as one flow::Runner batch: the rewrite cache
+// benchmark × strategy sweep as one flow::Service::run batch: the rewrite cache
 // runs each rewriting flavour once per benchmark, and --jobs N parallelizes
 // the grid.
 
@@ -14,7 +14,7 @@ int main(int argc, char** argv) try {
   using benchharness::min_max;
   using core::Strategy;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
   const auto suite = flow::suite();
   const auto sources = flow::suite_sources(suite);
 
@@ -24,8 +24,8 @@ int main(int argc, char** argv) try {
       jobs.push_back({source, core::make_config(strategy), {}});
     }
   }
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
-  const auto results = runner.run(jobs);
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   flow::Report doc;

@@ -1,7 +1,7 @@
 // Regenerates paper Table II: number of RM3 instructions (#I) and RRAM
 // devices (#R) for the naive flow, endurance-aware rewriting, and
-// endurance-aware rewriting + compilation. One flow::Runner batch over the
-// suite × 3 configurations.
+// endurance-aware rewriting + compilation. One flow::Service::run batch over
+// the suite × 3 configurations.
 
 #include <iostream>
 
@@ -11,7 +11,7 @@ int main(int argc, char** argv) try {
   using namespace rlim;
   using core::Strategy;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
   const auto suite = flow::suite();
   const auto sources = flow::suite_sources(suite);
 
@@ -25,8 +25,8 @@ int main(int argc, char** argv) try {
       jobs.push_back({source, core::make_config(strategy), {}});
     }
   }
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
-  const auto results = runner.run(jobs);
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   flow::Report doc;

@@ -4,9 +4,9 @@
 // benchmark's natural maximum write count, so the result is unchanged from
 // the previous column (paper convention).
 //
-// Two flow::Runner phases share one rewrite cache: phase 1 compiles naive +
-// uncapped full-endurance for every benchmark; phase 2 compiles only the
-// caps that actually bind (cap < uncapped max), reusing the phase-1
+// Two flow::Service::run phases share one rewrite cache: phase 1 compiles
+// naive + uncapped full-endurance for every benchmark; phase 2 compiles only
+// the caps that actually bind (cap < uncapped max), reusing the phase-1
 // rewrites.
 
 #include <iostream>
@@ -17,10 +17,10 @@ int main(int argc, char** argv) try {
   using namespace rlim;
   using core::Strategy;
 
-  const auto opts = flow::parse_driver_args(argc, argv);
+  const auto opts = benchharness::parse_driver_args(argc, argv);
   const auto suite = flow::suite();
   const auto sources = flow::suite_sources(suite);
-  flow::Runner runner({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
+  flow::Service service({.jobs = opts.jobs, .cache_dir = opts.cache_dir});
 
   // Phase 1: naive baseline + uncapped full endurance per benchmark.
   std::vector<flow::Job> phase1;
@@ -28,7 +28,7 @@ int main(int argc, char** argv) try {
     phase1.push_back({source, core::make_config(Strategy::Naive), {}});
     phase1.push_back({source, core::make_config(Strategy::FullEndurance), {}});
   }
-  const auto base = runner.run(phase1);
+  const auto base = service.run(phase1);
   flow::throw_on_error(base);
 
   // Phase 2: only the binding caps.
@@ -46,7 +46,7 @@ int main(int argc, char** argv) try {
       }
     }
   }
-  const auto capped_results = runner.run(phase2);
+  const auto capped_results = service.run(phase2);
   flow::throw_on_error(capped_results);
 
   flow::Report doc;

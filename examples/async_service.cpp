@@ -2,7 +2,7 @@
 // progress observation, duplicate coalescing, cooperative cancellation, and
 // shipping work through flow::wire bytes — the API surface a network
 // front-end or shard coordinator builds on. Compare examples/quickstart.cpp,
-// which drives the same pipeline through the synchronous Runner façade.
+// which runs the same pipeline as one blocking flow::run_job call.
 
 #include <iostream>
 

@@ -2,9 +2,9 @@
 // an 8-bit, 4-operation ALU (ADD / SUB / AND / XOR selected by a 2-bit
 // opcode), compiled naively, with full endurance management, and with a
 // *custom allocation policy registered by this example* — all three
-// configurations as one flow::Runner batch over a shared Source. Shows the
-// end-to-end flow a downstream user follows for their own logic, including
-// how to plug a new policy into the registries.
+// configurations as one flow::Service::run batch over a shared Source.
+// Shows the end-to-end flow a downstream user follows for their own logic,
+// including how to plug a new policy into the registries.
 //
 //   $ ./build/examples/custom_alu
 
@@ -17,7 +17,7 @@
 
 #include "benchmarks/wordlib.hpp"
 #include "core/lifetime.hpp"
-#include "flow/runner.hpp"
+#include "flow/service.hpp"
 #include "plim/controller.hpp"
 #include "util/table.hpp"
 
@@ -88,8 +88,8 @@ int main() {
     (void)label;
     jobs.push_back({source, core::PipelineConfig::parse(spec), {}});
   }
-  flow::Runner runner;
-  const auto results = runner.run(jobs);
+  flow::Service service;
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   util::Table table({"flow", "#I", "#R", "min/max writes", "STDEV",

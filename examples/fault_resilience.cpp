@@ -13,7 +13,7 @@
 
 #include "benchmarks/arithmetic.hpp"
 #include "core/config.hpp"
-#include "flow/runner.hpp"
+#include "flow/service.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -42,8 +42,8 @@ int main() {
   for (const auto& scenario : scenarios) {
     jobs.push_back({source, core::PipelineConfig::parse(scenario.spec), {}});
   }
-  flow::Runner runner;
-  const auto results = runner.run(jobs);
+  flow::Service service;
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   util::Table table({"scenario", "life p50", "life p99", "life max",

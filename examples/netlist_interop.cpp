@@ -8,7 +8,7 @@
 #include <sstream>
 
 #include "benchmarks/control.hpp"
-#include "flow/runner.hpp"
+#include "flow/service.hpp"
 #include "mig/io.hpp"
 #include "mig/simulate.hpp"
 

@@ -1,5 +1,5 @@
-// Quickstart: build a Boolean function as an MIG, compile it through the
-// flow job-runner with full endurance management, execute the program on the
+// Quickstart: build a Boolean function as an MIG, compile it through
+// flow::run_job with full endurance management, execute the program on the
 // RRAM crossbar simulator, and inspect the write traffic.
 //
 //   $ ./build/examples/quickstart
@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/lifetime.hpp"
-#include "flow/runner.hpp"
+#include "flow/service.hpp"
 #include "mig/mig.hpp"
 #include "mig/simulate.hpp"
 #include "plim/controller.hpp"

@@ -2,8 +2,9 @@
 // strategy (paper Table III). Given a deployment that must survive N program
 // executions on cells with endurance E, find the loosest write cap that
 // meets the target and report its area/latency price. The whole cap sweep is
-// one flow::Runner batch over a shared Source — the Algorithm-2 rewrite runs
-// once and every capped compilation reuses it from the rewrite cache.
+// one flow::Service::run batch over a shared Source — the Algorithm-2
+// rewrite runs once and every capped compilation reuses it from the rewrite
+// cache.
 //
 //   $ ./build/examples/wear_budgeting
 
@@ -11,7 +12,7 @@
 
 #include "benchmarks/arithmetic.hpp"
 #include "core/lifetime.hpp"
-#include "flow/runner.hpp"
+#include "flow/service.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -35,8 +36,8 @@ int main() {
         cap == 0 ? std::string("full") : "full,cap=" + std::to_string(cap);
     jobs.push_back({source, core::PipelineConfig::parse(spec), {}});
   }
-  flow::Runner runner;
-  const auto results = runner.run(jobs);
+  flow::Service service;
+  const auto results = service.run(jobs);
   flow::throw_on_error(results);
 
   util::Table table({"write cap", "#I", "#R", "max writes", "STDEV",

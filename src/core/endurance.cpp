@@ -26,8 +26,8 @@ EnduranceReport compile_prepared(const mig::Mig& prepared,
   report.gates_before_rewrite = gates_before != 0 ? gates_before : prepared.num_gates();
   report.gates_after_rewrite = prepared.num_gates();
   report.program = std::move(compiled.program);
-  // compile_prepared is the single compile site (Runner, Service, CLI, and
-  // the net server all funnel through it), so running the sweep here makes
+  // compile_prepared is the single compile site (Service, CLI, and the net
+  // server all funnel through it), so running the sweep here makes
   // every entry point fault-aware — and the distribution is cached alongside
   // the program in the pipeline cache and disk store.
   const auto sweep = fault::make_sweep(config.fault);

@@ -40,8 +40,8 @@ struct EnduranceReport {
                                                std::size_t gates_before = 0);
 
 /// prepare + compile in one call — a single-job convenience. Sweeps and
-/// batches should go through flow::Runner (src/flow/runner.hpp), which adds
-/// a thread pool and a content-addressed rewrite cache on top of these
+/// batches should go through flow::Service (src/flow/service.hpp), which
+/// adds a thread pool and a content-addressed rewrite cache on top of these
 /// primitives.
 [[nodiscard]] EnduranceReport run_pipeline(const mig::Mig& graph,
                                            const PipelineConfig& config,

@@ -19,7 +19,7 @@ struct IoScratch;
 
 namespace rlim::flow {
 
-/// Two-level content-addressed cache shared by every job of a Runner batch.
+/// Two-level content-addressed cache shared by every job of a Service.
 ///
 /// Level 1 (rewrite): rewritten MIGs keyed on (graph fingerprint, canonical
 /// rewrite spec) — a sweep that compiles the same benchmark under many
@@ -89,7 +89,7 @@ public:
 
   /// Attaches (or, with nullptr, detaches) the persistent backing tier.
   /// Not synchronized against in-flight lookups — attach before handing the
-  /// cache to workers, the way Runner does at construction.
+  /// cache to workers, the way Service does at construction.
   void attach_store(std::shared_ptr<store::DiskStore> store);
   [[nodiscard]] const std::shared_ptr<store::DiskStore>& disk_store() const {
     return store_;

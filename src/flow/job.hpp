@@ -25,7 +25,7 @@ namespace rlim::flow {
 /// can key on its content fingerprint.
 ///
 /// Construction is lazy and thread-safe: the graph materializes on the first
-/// `original()` / `fingerprint()` call, which may happen on any Runner
+/// `original()` / `fingerprint()` call, which may happen on any Service
 /// worker thread.
 class Source {
 public:
@@ -54,7 +54,7 @@ public:
   /// Content hash of `original()` — the rewrite-cache key component.
   [[nodiscard]] std::uint64_t fingerprint() const;
   /// fingerprint() if the graph is already materialized, nullopt otherwise —
-  /// never builds. Lets flow::Service coalesce duplicate submissions without
+  /// never builds. Lets flow::Service merge duplicate submissions without
   /// blocking the submitting thread on graph construction.
   [[nodiscard]] std::optional<std::uint64_t> ready_fingerprint() const;
 
@@ -76,7 +76,7 @@ private:
 using SourcePtr = std::shared_ptr<Source>;
 
 /// One cell of a sweep: an input source crossed with a pipeline
-/// configuration. The whole batch is handed to flow::Runner.
+/// configuration. The whole batch is handed to flow::Service::run.
 struct Job {
   SourcePtr source;
   core::PipelineConfig config;

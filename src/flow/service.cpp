@@ -64,14 +64,11 @@ Service::Service(ServiceOptions options) : options_(std::move(options)) {
     cache_.attach_store(
         std::make_shared<store::DiskStore>(options_.cache_dir));
   }
-  sched::SchedulerOptions sched_options;
-  sched_options.workers = options_.jobs;
-  sched_options.deque_capacity = options_.deque_capacity;
-  sched_options.single_queue = options_.single_queue;
   // Worker threads spawn lazily inside the scheduler, one per enqueued job
-  // up to the ceiling — the synchronous façade's small batches keep the old
-  // min(workers, job_count) thread cost instead of paying for a full pool.
-  scheduler_ = std::make_unique<sched::Scheduler>(sched_options);
+  // up to the ceiling — a small run() batch keeps min(workers, job_count)
+  // thread cost instead of paying for a full pool.
+  scheduler_ = std::make_unique<sched::Scheduler>(
+      sched::SchedulerOptions{.workers = options_.jobs});
 }
 
 Service::~Service() { shutdown(); }
@@ -98,7 +95,7 @@ void Service::shutdown() {
 
 std::optional<Service::DupKey> Service::duplicate_key(const Job& job,
                                                       bool may_build) const {
-  if (!options_.coalesce || job.source == nullptr) {
+  if (job.source == nullptr) {
     return std::nullopt;
   }
   try {
@@ -219,7 +216,7 @@ void Service::scheduler_run(const TaskPtr& task) {
 }
 
 void Service::run_task(const TaskPtr& task, store::IoScratch* scratch) {
-  if (options_.coalesce && !task->registered) {
+  if (!task->registered) {
     // Dequeue-time coalescing: computing the key may build the graph, so it
     // runs on the worker (outside the lock) where that work belongs anyway.
     if (const auto key = duplicate_key(task->job, /*may_build=*/true)) {
@@ -349,7 +346,7 @@ void Service::cancel_locked(const TaskPtr& task,
   }
   // Followers were waiting on this task's execution, not cancelled
   // themselves: re-queue them. The first one dequeued re-registers as the
-  // new primary and the rest re-coalesce behind it. A dequeue-time follower
+  // new primary and the rest attach behind it again. A dequeue-time follower
   // carries state Running (its worker moved on after attaching) — flip it
   // back to Pending or the scheduler_run claim-check would drop the ticket
   // forever.
@@ -450,6 +447,10 @@ std::vector<JobResult> Service::collect(const BatchHandle& batch) {
   return results;
 }
 
+std::vector<JobResult> Service::run(std::vector<Job> jobs) {
+  return collect(submit_batch(std::move(jobs)));
+}
+
 ServiceStats Service::stats() const {
   const std::scoped_lock lock(mutex_);
   return stats_;
@@ -457,6 +458,19 @@ ServiceStats Service::stats() const {
 
 sched::SchedulerStats Service::scheduler_stats() const {
   return scheduler_->stats();
+}
+
+JobResult run_job(const Job& job) {
+  Service service({.jobs = 1});
+  return service.wait(service.submit(job));
+}
+
+void throw_on_error(const std::vector<JobResult>& results) {
+  for (const auto& result : results) {
+    if (!result.ok()) {
+      throw Error("flow job failed: " + result.error);
+    }
+  }
 }
 
 }  // namespace rlim::flow

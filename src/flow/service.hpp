@@ -32,30 +32,17 @@ struct ServiceOptions {
   /// Threads spawn lazily (one per enqueued job, up to the ceiling) and
   /// live until shutdown().
   unsigned jobs = 0;
-  /// Per-worker deque bound of the work-stealing scheduler; pushes that find
-  /// every deque full spill to its unbounded shared injector queue.
-  std::size_t deque_capacity = 1024;
-  /// Benchmark baseline: funnel every job through one shared queue instead
-  /// of per-worker deques + stealing (the pre-scheduler convoy shape).
-  /// BM_ServeLoad flips this for an apples-to-apples comparison; production
-  /// code leaves it false.
-  bool single_queue = false;
   /// Memoize compiled programs on (fingerprint, canonical config key).
   /// Disable to measure cold compilation cost; rewritten graphs stay shared
   /// through the cache's rewrite level either way.
   bool cache_programs = true;
-  /// Directory of the persistent store::DiskStore backing the cache; empty
-  /// leaves the disk tier off. Same hermeticity contract as RunnerOptions:
-  /// the Service never consults the environment.
+  /// Directory of the persistent store::DiskStore backing the cache
+  /// (created on demand); empty leaves the disk tier off. The Service never
+  /// consults the environment — benchmarks and tests stay hermetic however
+  /// the caller's shell is configured. Front-ends that honor RLIM_CACHE_DIR
+  /// (the rlim CLI, the bench drivers) resolve it into this field
+  /// (store::env_cache_dir()).
   std::string cache_dir{};
-  /// Coalesce duplicate submissions on (graph fingerprint, canonical config
-  /// key): a duplicate of a pending or running job never occupies a worker —
-  /// it is fulfilled from the primary's result with its own label patched
-  /// in. Results are identical to a program-cache hit; the difference is
-  /// accounting (coalesced jobs never touch the cache counters) and that no
-  /// worker blocks on the duplicate. The Runner façade turns this off to
-  /// keep the historical cache-counter semantics observable.
-  bool coalesce = true;
   /// Completion hook: invoked once per ticket — after its result became
   /// collectable — with no Service lock held, from whichever thread finished
   /// it (a worker, a cancelling caller, or shutdown()). The hook may call
@@ -106,15 +93,29 @@ private:
   std::shared_ptr<Progress> progress_;
 };
 
-/// Asynchronous execution service over the endurance pipeline: jobs are
-/// submitted incrementally, run on a work-stealing scheduler
-/// (sched::Scheduler — per-worker priority deques, so Job::priority and
-/// Job::deadline bias which queued job runs next) above the shared
-/// two-level PipelineCache (+ optional disk store), and are awaited — in any
-/// order — by ticket. This is the execution engine behind flow::Runner (a
-/// synchronous façade over submit_batch + collect) and the CLI `rlim serve`
-/// front-end; the socket front-end (net::Server) submits decoded flow::wire
-/// frames here.
+/// Asynchronous execution service over the endurance pipeline — the one way
+/// jobs run: jobs are submitted incrementally, run on a work-stealing
+/// scheduler (sched::Scheduler — per-worker priority deques, so
+/// Job::priority and Job::deadline bias which queued job runs next) above
+/// the shared two-level PipelineCache (+ optional disk store), and are
+/// awaited — in any order — by ticket. run() is the blocking batch call the
+/// bench drivers and `rlim compile`/`suite` use; `rlim serve` and the socket
+/// front-end (net::Server) submit incrementally.
+///
+/// The pipeline cache persists across batches, so multi-phase sweeps (e.g.
+/// "run uncapped first, then only the binding caps") reuse earlier rewrites
+/// — and whole compiled programs — by handing their batches to the same
+/// Service. With a cache_dir it also persists *across invocations*.
+///
+/// Duplicate submissions are coalesced on (graph fingerprint, canonical
+/// config key): a duplicate of a pending or running job never occupies a
+/// worker — it is fulfilled from the primary's result with its own label
+/// patched in. Results are identical to a program-cache hit; only the
+/// accounting differs (a coalesced job counts in ServiceStats::coalesced and
+/// never touches the cache counters). Whether an in-batch duplicate is
+/// coalesced or hits the program cache depends on timing, so
+/// program_hits() + coalesced is exact while each term alone is not;
+/// program_misses() stays exact.
 ///
 /// Priority interacts with coalescing in one deliberate way: when a
 /// duplicate submission attaches to a *pending* primary with a weaker
@@ -154,6 +155,9 @@ public:
   [[nodiscard]] std::optional<JobResult> try_get(Ticket ticket);
   /// Waits for the whole batch and collects results in submission order.
   [[nodiscard]] std::vector<JobResult> collect(const BatchHandle& batch);
+  /// Blocking batch call: collect(submit_batch(jobs)) — one JobResult per
+  /// job, in job order.
+  [[nodiscard]] std::vector<JobResult> run(std::vector<Job> jobs);
 
   /// Cooperative cancellation: succeeds only while the ticket is still
   /// pending (not picked up by a worker). A cancelled ticket finishes with
@@ -200,7 +204,7 @@ private:
   /// down to the disk tier so steady-state serve traffic reuses the same
   /// buffers instead of allocating per job.
   void run_task(const TaskPtr& task, store::IoScratch* scratch);
-  /// Runs the pipeline for one job (the former Runner::execute).
+  /// Runs the pipeline for one job.
   [[nodiscard]] JobResult execute(const Job& job, store::IoScratch* scratch);
   void finish(const TaskPtr& task, JobResult result);
   /// `finished` collects tickets to report through options_.on_finished once
@@ -230,5 +234,13 @@ private:
   /// down before) everything its closures may touch.
   std::unique_ptr<sched::Scheduler> scheduler_;
 };
+
+/// Runs one job inline (single worker, fresh cache) — the one-off
+/// convenience, routed through the same Service path as every batch so the
+/// single-job and batch flows cannot drift apart.
+[[nodiscard]] JobResult run_job(const Job& job);
+
+/// Throws rlim::Error with the first failed job's message, if any.
+void throw_on_error(const std::vector<JobResult>& results);
 
 }  // namespace rlim::flow

@@ -17,6 +17,10 @@ namespace {
 /// idle pool costs nothing measurable.
 constexpr unsigned kIdleSpinLimit = 8;
 
+/// RNG seed of the victim-selection streams (per worker, decorrelated via
+/// util::mix_seed). Victim order affects performance, never results.
+constexpr std::uint64_t kStealSeed = 0x5eedull;
+
 /// The executing scheduler/worker of this thread; null off-pool. File-scope
 /// so Scheduler::current() and run_children() agree on the same slots.
 thread_local Scheduler* tls_scheduler = nullptr;
@@ -43,8 +47,7 @@ Scheduler::Scheduler(SchedulerOptions options) : options_(std::move(options)) {
   workers_.reserve(target_workers_);
   for (unsigned index = 0; index < target_workers_; ++index) {
     workers_.push_back(std::make_unique<Worker>(
-        options_.deque_capacity,
-        util::mix_seed(options_.steal_seed, index)));
+        options_.deque_capacity, util::mix_seed(kStealSeed, index)));
   }
   threads_.reserve(target_workers_);
   // Threads spawn lazily in ensure_worker(); the deques exist up front so
@@ -70,20 +73,17 @@ void Scheduler::enqueue(Task task) {
   // concurrently deciding to park re-reads queued_ after raising sleeping_,
   // so one of the two sides always observes the other.
   queued_.fetch_add(1);
-  if (!options_.single_queue) {
-    const auto count = workers_.size();
-    const auto start =
-        rr_next_.fetch_add(1, std::memory_order_relaxed) % count;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (workers_[(start + i) % count]->deque.push(task)) {
-        ensure_worker();
-        wake_one();
-        return;
-      }
+  const auto count = workers_.size();
+  const auto start = rr_next_.fetch_add(1, std::memory_order_relaxed) % count;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (workers_[(start + i) % count]->deque.push(task)) {
+      ensure_worker();
+      wake_one();
+      return;
     }
-    // Every deque is at capacity: spill to the unbounded injector.
-    overflows_.fetch_add(1, std::memory_order_relaxed);
   }
+  // Every deque is at capacity: spill to the unbounded injector.
+  overflows_.fetch_add(1, std::memory_order_relaxed);
   const bool pushed = injector_.push(task);
   (void)pushed;  // the injector is unbounded
   ensure_worker();
@@ -232,12 +232,7 @@ void Scheduler::run_children(std::vector<std::function<void()>> children,
       Task task{wrap(std::move(child)), priority, std::nullopt,
                 /*child=*/true};
       queued_.fetch_add(1);
-      if (options_.single_queue) {
-        const bool pushed = injector_.push(task);
-        (void)pushed;
-        ensure_worker();
-        wake_one();
-      } else if (self->deque.push(task)) {
+      if (self->deque.push(task)) {
         // LIFO on the parent's own deque: the parent pops its freshest fork
         // first while thieves take the oldest — the classic fork-join shape.
         ensure_worker();

@@ -24,15 +24,6 @@ struct SchedulerOptions {
   /// Bounding the hot deques keeps any one worker's backlog — and therefore
   /// the worst-case steal scan — short under heavy mixed traffic.
   std::size_t deque_capacity = 1024;
-  /// Benchmark baseline: route every task through the single shared injector
-  /// queue (no per-worker deques, no stealing) — the convoy shape the
-  /// work-stealing design replaces. BM_ServeLoad flips this to compare the
-  /// two ends of the same machinery; production code leaves it false.
-  bool single_queue = false;
-  /// RNG seed of the victim-selection streams (per worker, decorrelated via
-  /// util::mix_seed). The default is fine: victim order affects performance,
-  /// never results.
-  std::uint64_t steal_seed = 0x5eedull;
 };
 
 /// Monotonic counters + gauges; a consistent snapshot via stats().
@@ -123,7 +114,7 @@ class Scheduler {
 
   /// Fixed at construction (stealing scans this without coordination).
   std::vector<std::unique_ptr<Worker>> workers_;
-  WorkDeque injector_;  ///< unbounded: overflow + single-queue mode
+  WorkDeque injector_;  ///< unbounded: overflow of the worker deques
 
   std::atomic<std::uint64_t> rr_next_{0};  ///< round-robin submission cursor
   /// Tasks queued anywhere (deques + injector). The park/wake handshake:

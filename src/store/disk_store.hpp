@@ -110,7 +110,7 @@ struct StoreCounters {
 /// entry file is never mutated in place.
 ///
 /// Thread-safe: lookups and write-throughs may run concurrently from any
-/// number of Runner workers (and any number of processes sharing the root).
+/// number of Service workers (and any number of processes sharing the root).
 class DiskStore {
 public:
   /// Creates the directory skeleton. Throws rlim::Error only when the

@@ -6,7 +6,8 @@
 
 #include "benchmarks/arithmetic.hpp"
 #include "benchmarks/suite.hpp"
-#include "flow/runner.hpp"
+#include "flow/report.hpp"
+#include "flow/service.hpp"
 #include "flow/suite.hpp"
 #include "store/disk_store.hpp"
 #include "test_helpers.hpp"
@@ -91,22 +92,22 @@ TEST(FlowCache, FullSuiteSweepRewritesEachBenchmarkExactlyOnce) {
   for (const auto& spec : specs) {
     sources.push_back(Source::benchmark(spec));
   }
-  Runner runner({.jobs = 4});
-  const auto results = runner.run(strategy_sweep(sources));
+  Service service({.jobs = 4});
+  const auto results = service.run(strategy_sweep(sources));
   throw_on_error(results);
 
   const auto n = specs.size();
-  EXPECT_EQ(runner.cache().rewrites("plim21"), n);
-  EXPECT_EQ(runner.cache().rewrites("endurance"), n);
+  EXPECT_EQ(service.cache().rewrites("plim21"), n);
+  EXPECT_EQ(service.cache().rewrites("endurance"), n);
   // Naive jobs bypass the rewrite level entirely (they compile the original
   // graph), so the 5 strategies per benchmark touch 2 distinct rewrite keys.
-  EXPECT_EQ(runner.cache().rewrites("none"), 0u);
-  EXPECT_EQ(runner.cache().misses(), 2 * n);
-  EXPECT_EQ(runner.cache().hits(), 5 * n - n - 2 * n);
+  EXPECT_EQ(service.cache().rewrites("none"), 0u);
+  EXPECT_EQ(service.cache().misses(), 2 * n);
+  EXPECT_EQ(service.cache().hits(), 5 * n - n - 2 * n);
   // All 5 configs per benchmark are distinct, so the program level compiles
   // each exactly once.
-  EXPECT_EQ(runner.cache().program_misses(), 5 * n);
-  EXPECT_EQ(runner.cache().program_hits(), 0u);
+  EXPECT_EQ(service.cache().program_misses(), 5 * n);
+  EXPECT_EQ(service.cache().program_hits(), 0u);
 
   // Jobs sharing a cache entry share the rewritten graph instance.
   for (std::size_t b = 0; b < n; ++b) {
@@ -133,14 +134,14 @@ TEST(FlowRunner, NaiveJobsCompileTheOriginalGraph) {
 
 TEST(FlowCache, CachePersistsAcrossRunnerBatches) {
   const auto source = Source::graph(bench::make_adder(8), "adder8");
-  Runner runner({.jobs = 2});
-  const auto first =
-      runner.run({{source, core::make_config(core::Strategy::FullEndurance), {}}});
-  const auto second = runner.run(
+  Service service({.jobs = 2});
+  const auto first = service.run(
+      {{source, core::make_config(core::Strategy::FullEndurance), {}}});
+  const auto second = service.run(
       {{source, core::make_config(core::Strategy::FullEndurance, 10), {}}});
   throw_on_error(first);
   throw_on_error(second);
-  EXPECT_EQ(runner.cache().rewrites("endurance"), 1u);
+  EXPECT_EQ(service.cache().rewrites("endurance"), 1u);
   EXPECT_EQ(first.front().prepared, second.front().prepared);
 }
 
@@ -150,9 +151,9 @@ TEST(FlowCache, EffortIsPartOfTheKey) {
   low.set_effort(1);
   auto high = core::make_config(core::Strategy::FullEndurance);
   high.set_effort(5);
-  Runner runner;
-  throw_on_error(runner.run({{source, low, {}}, {source, high, {}}}));
-  EXPECT_EQ(runner.cache().rewrites("endurance"), 2u);
+  Service service;
+  throw_on_error(service.run({{source, low, {}}, {source, high, {}}}));
+  EXPECT_EQ(service.cache().rewrites("endurance"), 2u);
 }
 
 TEST(FlowCache, IdenticalGraphsShareEntriesAcrossSources) {
@@ -161,13 +162,15 @@ TEST(FlowCache, IdenticalGraphsShareEntriesAcrossSources) {
   // but still reports under its own label.
   const auto a = Source::graph(bench::make_adder(8), "a");
   const auto b = Source::graph(bench::make_adder(8), "b");
-  Runner runner;
+  Service service;
   const auto config = core::make_config(core::Strategy::FullEndurance);
-  const auto results = runner.run({{a, config, {}}, {b, config, {}}});
+  const auto results = service.run({{a, config, {}}, {b, config, {}}});
   throw_on_error(results);
-  EXPECT_EQ(runner.cache().rewrites("endurance"), 1u);
-  EXPECT_EQ(runner.cache().program_misses(), 1u);
-  EXPECT_EQ(runner.cache().program_hits(), 1u);
+  EXPECT_EQ(service.cache().rewrites("endurance"), 1u);
+  EXPECT_EQ(service.cache().program_misses(), 1u);
+  // The twin is either a program-cache hit or coalesced onto the in-flight
+  // primary (timing decides which); exactly one of the two happens.
+  EXPECT_EQ(service.cache().program_hits() + service.stats().coalesced, 1u);
   EXPECT_EQ(results[0].prepared, results[1].prepared);
   EXPECT_EQ(results[0].report.benchmark, "a");
   EXPECT_EQ(results[1].report.benchmark, "b");
@@ -178,6 +181,8 @@ TEST(FlowCache, RepeatedConfigsSkipCompilation) {
   // The program level of the two-level cache: repeated (fingerprint,
   // canonical_key) pairs compile once, under any worker count, and the
   // rendered reports stay byte-identical between serial and parallel runs.
+  // A repeat is a program-cache hit or coalesced onto its in-flight twin —
+  // which one is timing, so only the sum is exact.
   const auto source = Source::graph(bench::make_adder(8), "adder8");
   std::vector<Job> jobs;
   for (int repeat = 0; repeat < 4; ++repeat) {
@@ -185,18 +190,19 @@ TEST(FlowCache, RepeatedConfigsSkipCompilation) {
       jobs.push_back({source, core::make_config(strategy), {}});
     }
   }
-  Runner serial({.jobs = 1});
-  Runner parallel({.jobs = 8});
+  Service serial({.jobs = 1});
+  Service parallel({.jobs = 8});
   const auto serial_results = serial.run(jobs);
   const auto parallel_results = parallel.run(jobs);
   throw_on_error(serial_results);
   throw_on_error(parallel_results);
 
-  for (const auto* runner : {&serial, &parallel}) {
-    EXPECT_EQ(runner->cache().program_misses(), 5u);   // distinct configs
-    EXPECT_EQ(runner->cache().program_hits(), 15u);    // 3 repeats x 5
-    EXPECT_EQ(runner->cache().rewrites("plim21"), 1u);
-    EXPECT_EQ(runner->cache().rewrites("endurance"), 1u);
+  for (const auto* service : {&serial, &parallel}) {
+    EXPECT_EQ(service->cache().program_misses(), 5u);  // distinct configs
+    EXPECT_EQ(service->cache().program_hits() + service->stats().coalesced,
+              15u);  // 3 repeats x 5
+    EXPECT_EQ(service->cache().rewrites("plim21"), 1u);
+    EXPECT_EQ(service->cache().rewrites("endurance"), 1u);
   }
   EXPECT_EQ(render(serial_results, ReportFormat::Csv),
             render(parallel_results, ReportFormat::Csv));
@@ -211,27 +217,67 @@ TEST(FlowCache, HandAssembledConfigsShareEntriesAfterNormalization) {
   hand.rewrite = {"endurance", {}};  // effort default not materialized
   hand.selection = {"endurance", {}};
   hand.allocation = {"min_write", {}};
-  Runner runner;
-  const auto results = runner.run(
+  Service service;
+  const auto results = service.run(
       {{source, hand, {}},
        {source, core::make_config(core::Strategy::FullEndurance), {}}});
   throw_on_error(results);
-  EXPECT_EQ(runner.cache().program_misses(), 1u);
-  EXPECT_EQ(runner.cache().program_hits(), 1u);
+  EXPECT_EQ(service.cache().program_misses(), 1u);
+  EXPECT_EQ(service.cache().program_hits() + service.stats().coalesced, 1u);
   EXPECT_EQ(results[0].prepared, results[1].prepared);
 }
 
 TEST(FlowCache, ProgramCacheCanBeDisabled) {
   const auto source = Source::graph(bench::make_adder(8), "adder8");
-  Runner runner({.jobs = 2, .cache_programs = false});
-  const auto config = core::make_config(core::Strategy::FullEndurance);
-  const auto results = runner.run({{source, config, {}}, {source, config, {}}});
+  Service service({.jobs = 2, .cache_programs = false});
+  // Distinct canonical keys sharing one rewrite: neither job is coalesced
+  // onto the other, so both reach the rewrite level deterministically.
+  const auto results = service.run(
+      {{source, core::PipelineConfig::parse("full"), {}},
+       {source, core::PipelineConfig::parse("full,cap=10"), {}}});
   throw_on_error(results);
   // Rewrites still shared, but each job compiled on its own.
-  EXPECT_EQ(runner.cache().rewrites("endurance"), 1u);
-  EXPECT_EQ(runner.cache().hits(), 1u);
-  EXPECT_EQ(runner.cache().program_misses(), 0u);
-  EXPECT_EQ(results[0].report.instructions, results[1].report.instructions);
+  EXPECT_EQ(service.cache().rewrites("endurance"), 1u);
+  EXPECT_EQ(service.cache().hits(), 1u);
+  EXPECT_EQ(service.cache().program_misses(), 0u);
+  EXPECT_EQ(service.stats().coalesced, 0u);
+  EXPECT_EQ(results[0].prepared, results[1].prepared);
+}
+
+TEST(FlowCache, DuplicatesCoalesceWithProgramCacheDisabled) {
+  // Coalescing is always on, so with cache_programs = false an in-batch
+  // duplicate either compiles on its own or is fulfilled from its in-flight
+  // twin — timing decides which. The bytes and the labels must not show it.
+  const auto source = Source::graph(bench::make_adder(8), "adder8");
+  const auto full = core::make_config(core::Strategy::FullEndurance);
+  const auto naive = core::make_config(core::Strategy::Naive);
+  std::vector<Job> jobs;
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    jobs.push_back({source, full, {}});
+    jobs.push_back({source, naive, {}});
+  }
+  jobs.push_back({source, full, "twin"});
+
+  std::vector<JobResult> expected;
+  for (const auto& job : jobs) {
+    expected.push_back(run_job(job));
+  }
+  throw_on_error(expected);
+  const auto expected_csv = render(expected, ReportFormat::Csv);
+
+  for (const unsigned workers : {1u, 8u}) {
+    Service service({.jobs = workers, .cache_programs = false});
+    const auto results = service.run(jobs);
+    throw_on_error(results);
+    EXPECT_EQ(render(results, ReportFormat::Csv), expected_csv) << workers;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(results[i].report.benchmark, jobs[i].display_label())
+          << workers << " workers, job " << i;
+    }
+    EXPECT_EQ(service.cache().program_misses(), 0u);
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.executed + stats.coalesced, jobs.size());
+  }
 }
 
 // ---- persistent disk tier --------------------------------------------------
@@ -243,20 +289,20 @@ std::string fresh_store_dir(const std::string& name) {
 }
 
 TEST(FlowDiskStore, SecondInvocationServesProgramsFromDisk) {
-  // The cross-invocation acceptance property: a fresh Runner (fresh
+  // The cross-invocation acceptance property: a fresh Service (fresh
   // in-memory cache — a new process, as far as the cache can tell) against
   // the same store recompiles nothing and renders byte-identical reports.
   const auto dir = fresh_store_dir("programs");
   const auto jobs = strategy_sweep({Source::graph(bench::make_adder(8),
                                                   "adder8")});
-  Runner cold({.jobs = 2, .cache_dir = dir});
+  Service cold({.jobs = 2, .cache_dir = dir});
   const auto cold_results = cold.run(jobs);
   throw_on_error(cold_results);
   ASSERT_NE(cold.cache().disk_store(), nullptr);
   EXPECT_EQ(cold.cache().disk_store()->counters().program_loads, 0u);
   EXPECT_GT(cold.cache().disk_store()->counters().stores, 0u);
 
-  Runner warm({.jobs = 2, .cache_dir = dir});
+  Service warm({.jobs = 2, .cache_dir = dir});
   const auto warm_results = warm.run(jobs);
   throw_on_error(warm_results);
   const auto counters = warm.cache().disk_store()->counters();
@@ -276,11 +322,11 @@ TEST(FlowDiskStore, RewriteTierPersistsWhenProgramCachingIsOff) {
   const auto dir = fresh_store_dir("rewrites");
   const auto source = Source::graph(bench::make_adder(8), "adder8");
   const auto config = core::make_config(core::Strategy::FullEndurance);
-  Runner cold({.jobs = 1, .cache_programs = false, .cache_dir = dir});
+  Service cold({.jobs = 1, .cache_programs = false, .cache_dir = dir});
   throw_on_error(cold.run({{source, config, {}}}));
   EXPECT_EQ(cold.cache().rewrites("endurance"), 1u);
 
-  Runner warm({.jobs = 1, .cache_programs = false, .cache_dir = dir});
+  Service warm({.jobs = 1, .cache_programs = false, .cache_dir = dir});
   throw_on_error(warm.run({{source, config, {}}}));
   EXPECT_EQ(warm.cache().rewrites("endurance"), 0u)
       << "the rewrite must come from disk, not run again";
@@ -291,7 +337,7 @@ TEST(FlowDiskStore, CorruptedStoreFallsBackToRecomputeAndHeals) {
   const auto dir = fresh_store_dir("corrupt");
   const auto jobs = strategy_sweep({Source::graph(bench::make_adder(8),
                                                   "adder8")});
-  Runner cold({.jobs = 2, .cache_dir = dir});
+  Service cold({.jobs = 2, .cache_dir = dir});
   const auto clean_results = cold.run(jobs);
   throw_on_error(clean_results);
 
@@ -304,7 +350,7 @@ TEST(FlowDiskStore, CorruptedStoreFallsBackToRecomputeAndHeals) {
     }
   }
 
-  Runner recover({.jobs = 2, .cache_dir = dir});
+  Service recover({.jobs = 2, .cache_dir = dir});
   const auto recovered_results = recover.run(jobs);
   throw_on_error(recovered_results);
   const auto counters = recover.cache().disk_store()->counters();
@@ -314,27 +360,27 @@ TEST(FlowDiskStore, CorruptedStoreFallsBackToRecomputeAndHeals) {
   EXPECT_EQ(render(clean_results, ReportFormat::Csv),
             render(recovered_results, ReportFormat::Csv));
 
-  // After healing, a third runner is served from disk again.
-  Runner warm({.jobs = 2, .cache_dir = dir});
+  // After healing, a third service is served from disk again.
+  Service warm({.jobs = 2, .cache_dir = dir});
   throw_on_error(warm.run(jobs));
   EXPECT_EQ(warm.cache().disk_store()->counters().program_loads, jobs.size());
 }
 
 TEST(FlowDiskStore, RunnerIgnoresAmbientEnvironment) {
   // RLIM_CACHE_DIR is a front-end contract (the CLI resolves it into
-  // RunnerOptions::cache_dir); the library Runner itself must stay
+  // ServiceOptions::cache_dir); the library Service itself must stay
   // hermetic so tests and benchmarks cannot be skewed — or a user's real
   // store polluted — by an ambient shell variable.
   const auto untouched = test::scratch_dir() / "must_never_be_touched";
   ::setenv("RLIM_CACHE_DIR", untouched.c_str(), 1);
-  Runner plain({.jobs = 1});
+  Service plain({.jobs = 1});
   ::unsetenv("RLIM_CACHE_DIR");
   EXPECT_EQ(plain.cache().disk_store(), nullptr);
   EXPECT_FALSE(std::filesystem::exists(untouched));
 }
 
 TEST(FlowDiskStore, UnusableCacheDirThrowsAtConstruction) {
-  EXPECT_THROW(Runner({.cache_dir = "/proc/definitely/not/writable"}), Error);
+  EXPECT_THROW(Service({.cache_dir = "/proc/definitely/not/writable"}), Error);
 }
 
 // ---- determinism -----------------------------------------------------------
@@ -347,8 +393,8 @@ TEST(FlowRunner, ReportsAreByteIdenticalForAnyWorkerCount) {
     serial_sources.push_back(Source::benchmark(specs[i]));
     parallel_sources.push_back(Source::benchmark(specs[i]));
   }
-  Runner serial({.jobs = 1});
-  Runner parallel({.jobs = 8});
+  Service serial({.jobs = 1});
+  Service parallel({.jobs = 8});
   const auto serial_results = serial.run(strategy_sweep(serial_sources));
   const auto parallel_results = parallel.run(strategy_sweep(parallel_sources));
   throw_on_error(serial_results);
@@ -369,8 +415,8 @@ TEST(FlowRunner, ResultsArriveInJobOrder) {
                     core::make_config(core::Strategy::Naive),
                     {}});
   }
-  Runner runner({.jobs = 4});
-  const auto results = runner.run(jobs);
+  Service service({.jobs = 4});
+  const auto results = service.run(jobs);
   throw_on_error(results);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(results[i].report.benchmark, jobs[i].display_label());
@@ -386,8 +432,8 @@ TEST(FlowRunner, ErrorsAreCapturedPerJob) {
        core::make_config(core::Strategy::Naive),
        {}},
   };
-  Runner runner({.jobs = 2});
-  const auto results = runner.run(jobs);
+  Service service({.jobs = 2});
+  const auto results = service.run(jobs);
   EXPECT_FALSE(results[0].ok());
   EXPECT_TRUE(results[1].ok());
   EXPECT_THROW(throw_on_error(results), Error);

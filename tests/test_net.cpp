@@ -13,7 +13,7 @@
 
 #include "benchmarks/arithmetic.hpp"
 #include "core/registry.hpp"
-#include "flow/runner.hpp"
+#include "flow/service.hpp"
 #include "flow/wire.hpp"
 #include "net/client.hpp"
 #include "net/framing.hpp"

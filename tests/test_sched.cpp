@@ -313,17 +313,6 @@ TEST(SchedScheduler, TinyDequesSpillToInjectorWithoutLosingTasks) {
   EXPECT_EQ(ran.load(), 50);
 }
 
-TEST(SchedScheduler, SingleQueueModeStillRunsEverything) {
-  Scheduler scheduler({.workers = 2, .single_queue = true});
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) {
-    scheduler.submit(plain([&] { ran.fetch_add(1); }));
-  }
-  scheduler.shutdown();
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_EQ(scheduler.stats().executed, 64u);
-}
-
 TEST(SchedScheduler, CurrentIsNullOffPoolAndSelfOnWorkers) {
   EXPECT_EQ(Scheduler::current(), nullptr);
   Scheduler scheduler({.workers = 1});

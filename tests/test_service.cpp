@@ -11,7 +11,7 @@
 
 #include "benchmarks/arithmetic.hpp"
 #include "benchmarks/suite.hpp"
-#include "flow/runner.hpp"
+#include "flow/report.hpp"
 #include "flow/service.hpp"
 #include "flow/suite.hpp"
 #include "sched/deque.hpp"
@@ -128,7 +128,7 @@ TEST(FlowService, TicketsCollectableInAnyOrder) {
 TEST(FlowService, CollectedReportsByteIdenticalAcrossWorkerCounts) {
   // The acceptance property of the redesign: a mini-suite sweep through the
   // async Service yields byte-identical collected reports for any worker
-  // count — and matches the synchronous Runner façade bit for bit.
+  // count — and matches the blocking Service::run call bit for bit.
   const auto& specs = bench::mini_suite();
   std::vector<SourcePtr> sources;
   for (std::size_t i = 0; i < 3; ++i) {
@@ -143,15 +143,15 @@ TEST(FlowService, CollectedReportsByteIdenticalAcrossWorkerCounts) {
   throw_on_error(serial_results);
   throw_on_error(parallel_results);
 
-  Runner runner({.jobs = 4});
-  const auto runner_results = runner.run(jobs);
-  throw_on_error(runner_results);
+  Service blocking({.jobs = 4});
+  const auto run_results = blocking.run(jobs);
+  throw_on_error(run_results);
 
   for (const auto format :
        {ReportFormat::Table, ReportFormat::Csv, ReportFormat::Json}) {
     EXPECT_EQ(render(serial_results, format), render(parallel_results, format))
         << to_string(format);
-    EXPECT_EQ(render(serial_results, format), render(runner_results, format))
+    EXPECT_EQ(render(serial_results, format), render(run_results, format))
         << to_string(format);
   }
 }
@@ -374,7 +374,7 @@ TEST(FlowService, DuplicateSubmissionsCoalesceWhilePending) {
   const auto primary = service.submit({source, config, "first"});
   const auto duplicate = service.submit({source, config, "second"});
   EXPECT_EQ(service.stats().coalesced, 1u)
-      << "the duplicate must coalesce at submit time";
+      << "the duplicate must be coalesced at submit time";
 
   gate->release();
   const auto first = service.wait(primary);
@@ -428,7 +428,7 @@ TEST(FlowService, CoalescingEscalatesPrimaryPriority) {
   urgent.priority = sched::Priority::High;
   const auto duplicate = service.submit(urgent);
   EXPECT_EQ(service.stats().coalesced, 1u)
-      << "the urgent twin must coalesce, not queue";
+      << "the urgent twin must be coalesced, not queued";
 
   gate->release();
   ASSERT_TRUE(service.wait(primary).ok());
@@ -538,17 +538,6 @@ TEST(FlowService, CoalescingStressKeepsAccountsConsistent) {
   EXPECT_EQ(stats.completed, kJobs);
   EXPECT_EQ(stats.executed + stats.coalesced, kJobs);
   EXPECT_EQ(service.cache().program_misses(), 2u);
-}
-
-TEST(FlowService, RunnerFacadeKeepsCoalescingOff) {
-  // The façade's contract: duplicate jobs keep flowing through the cache so
-  // the historical hit/miss counters stay observable.
-  const auto source = Source::graph(bench::make_adder(8), "adder8");
-  const auto config = core::make_config(core::Strategy::FullEndurance);
-  Runner runner({.jobs = 2});
-  throw_on_error(runner.run({{source, config, {}}, {source, config, {}}}));
-  EXPECT_EQ(runner.cache().program_misses(), 1u);
-  EXPECT_EQ(runner.cache().program_hits(), 1u);
 }
 
 // ---- configuration -----------------------------------------------------------

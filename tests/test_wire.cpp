@@ -3,7 +3,7 @@
 #include <string>
 
 #include "benchmarks/arithmetic.hpp"
-#include "flow/runner.hpp"
+#include "flow/service.hpp"
 #include "flow/wire.hpp"
 #include "util/codec.hpp"
 #include "util/error.hpp"

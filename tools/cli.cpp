@@ -16,7 +16,7 @@
 #include "core/lifetime.hpp"
 #include "fault/fault.hpp"
 #include "core/registry.hpp"
-#include "flow/runner.hpp"
+#include "flow/report.hpp"
 #include "flow/service.hpp"
 #include "flow/suite.hpp"
 #include "flow/wire.hpp"
@@ -74,7 +74,6 @@ struct Options {
   std::optional<unsigned> streams;            // loadgen: closed-loop streams
   std::optional<std::uint64_t> seed;          // loadgen: stream seed
   std::optional<unsigned> duplicate_pct;      // loadgen: duplicate ratio
-  bool single_queue = false;  // loadgen: scheduler-off baseline
 };
 
 /// Strict unsigned parse: digits only, fully consumed. std::stoull would
@@ -169,8 +168,6 @@ Options parse(const std::vector<std::string>& args) {
       options.seed = parse_u64(arg, next());
     } else if (arg == "--duplicate-pct") {
       options.duplicate_pct = static_cast<unsigned>(parse_u64(arg, next()));
-    } else if (arg == "--single-queue") {
-      options.single_queue = true;
     } else if (arg.rfind("--", 0) == 0) {
       throw Error("unknown option " + arg);
     } else {
@@ -526,10 +523,10 @@ int cmd_compile(const Options& options, std::ostream& out,
   for (const auto& spec : options.positional) {
     jobs.push_back({flow::Source::netlist(spec), config, spec});
   }
-  flow::Runner runner(
+  flow::Service service(
       {.jobs = options.jobs, .cache_dir = resolve_cache_dir(options)});
-  const auto results = runner.run(jobs);
-  print_store_summary(runner.cache(), err);
+  const auto results = service.run(jobs);
+  print_store_summary(service.cache(), err);
 
   if (options.positional.size() == 1 &&
       format_of(options) == flow::ReportFormat::Table) {
@@ -577,10 +574,10 @@ int cmd_suite(const Options& options, std::ostream& out, std::ostream& err) {
   for (const auto& source : flow::suite_sources(suite)) {
     jobs.push_back({source, config, {}});
   }
-  flow::Runner runner(
+  flow::Service service(
       {.jobs = options.jobs, .cache_dir = resolve_cache_dir(options)});
-  const auto results = runner.run(jobs);
-  print_store_summary(runner.cache(), err);
+  const auto results = service.run(jobs);
+  print_store_summary(service.cache(), err);
 
   flow::Report doc;
   doc.title = "suite (" + suite.label + ") — " + config_label(options, config);
@@ -950,11 +947,11 @@ int cmd_stats(const Options& options, std::ostream& out) {
 
 /// `rlim serve --stdin-jobs`: the async execution path end-to-end. Lines
 /// (`NETLIST [CONFIG-SPEC]`) are submitted to a flow::Service as they
-/// arrive — execution starts immediately, duplicates coalesce — and results
-/// stream back as CSV rows in submission order, the only order that keeps
-/// the stream byte-stable for any worker count. A line that cannot even be
-/// submitted (bad netlist spec, bad config) becomes an `error:` row in the
-/// same position instead of killing the stream.
+/// arrive — execution starts immediately, duplicates are coalesced — and
+/// results stream back as CSV rows in submission order, the only order that
+/// keeps the stream byte-stable for any worker count. A line that cannot
+/// even be submitted (bad netlist spec, bad config) becomes an `error:` row
+/// in the same position instead of killing the stream.
 int cmd_serve(const Options& options, std::istream& in, std::ostream& out,
               std::ostream& err) {
   require(options.stdin_jobs != !options.listen.empty(),
@@ -1066,11 +1063,10 @@ int cmd_serve(const Options& options, std::istream& in, std::ostream& out,
 /// priorities, occasional soft deadlines, a configurable duplicate ratio —
 /// through `--streams` concurrent closed-loop clients, then reports
 /// throughput and nearest-rank latency percentiles. Default target: an
-/// in-process flow::Service on `--jobs` workers (`--single-queue` flips the
-/// scheduler baseline for A/B runs); with --connect, every stream ships
-/// inline-graph JobSpecs to the shard fleet through its own router — the
-/// same bytes `rlim submit` would send. The job stream is a pure function
-/// of --seed; the measured latencies of course are not.
+/// in-process flow::Service on `--jobs` workers; with --connect, every
+/// stream ships inline-graph JobSpecs to the shard fleet through its own
+/// router — the same bytes `rlim submit` would send. The job stream is a
+/// pure function of --seed; the measured latencies of course are not.
 int cmd_loadgen(const Options& options, std::ostream& out, std::ostream& err) {
   require(options.positional.empty(), "loadgen takes no positional arguments");
   require(!options.disasm && !options.verify,
@@ -1168,11 +1164,8 @@ int cmd_loadgen(const Options& options, std::ostream& out, std::ostream& err) {
   std::string target;
   double wall_ms = 0.0;
   if (options.connect.empty()) {
-    flow::ServiceOptions service_options;
-    service_options.jobs = options.jobs;
-    service_options.single_queue = options.single_queue;
-    service_options.cache_dir = resolve_cache_dir(options);
-    flow::Service service(service_options);
+    flow::Service service(
+        {.jobs = options.jobs, .cache_dir = resolve_cache_dir(options)});
     std::vector<flow::SourcePtr> sources;
     sources.reserve(benchmarks.size());
     for (const auto& spec : benchmarks) {
@@ -1197,16 +1190,12 @@ int cmd_loadgen(const Options& options, std::ostream& out, std::ostream& err) {
                   .count();
     const auto stats = service.stats();
     const auto sched_stats = service.scheduler_stats();
-    target = "service (" + std::to_string(service.workers()) + " workers" +
-             (options.single_queue ? ", single queue)" : ")");
+    target = "service (" + std::to_string(service.workers()) + " workers)";
     err << "rlim: loadgen: " << stats.executed << " executed, "
         << stats.coalesced << " coalesced, " << sched_stats.stolen
         << " steals, " << sched_stats.parks << " parks, "
         << sched_stats.forked << " forked\n";
   } else {
-    require(!options.single_queue,
-            "--single-queue tunes the in-process service; the remote shards "
-            "own their schedulers");
     const auto endpoints = net::parse_endpoints(options.connect);
     const auto begin = Clock::now();
     run_streams([&] {

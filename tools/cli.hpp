@@ -103,11 +103,9 @@ namespace rlim::cli {
 ///                  function of it)
 ///   --duplicate-pct N  percentage of jobs that re-issue an earlier job
 ///                  verbatim, exercising coalescing and caches (default 25)
-///   --single-queue route every job through one shared queue instead of the
-///                  work-stealing scheduler (loadgen baseline A/B)
 ///
 /// `compile` accepts any number of netlists and runs them as one
-/// flow::Runner batch: rewriting results are shared through the content-
+/// flow::Service::run batch: rewriting results are shared through the content-
 /// addressed cache and the batch is executed on `--jobs` worker threads.
 /// A single netlist in `table` format keeps the verbose key/value report;
 /// everything else renders one summary row per netlist through the selected
@@ -120,11 +118,12 @@ namespace rlim::cli {
 /// e.g. `@high` or `@low:250` — selects the job's scheduling priority and
 /// soft deadline, defaulting to --priority/--deadline-ms, else normal).
 /// Jobs are submitted — and start executing on `--jobs` workers — as their
-/// lines arrive; duplicate submissions coalesce on (fingerprint, canonical
-/// config key). Results stream to stdout as CSV rows in submission order
-/// (the only order that keeps output byte-stable for any worker count), one
-/// header row first; per-job failures become `error:` rows and flip the exit
-/// code to 1 after the stream drains. Telemetry goes to stderr.
+/// lines arrive; duplicate submissions are coalesced on (fingerprint,
+/// canonical config key). Results stream to stdout as CSV rows in
+/// submission order (the only order that keeps output byte-stable for any
+/// worker count), one header row first; per-job failures become `error:`
+/// rows and flip the exit code to 1 after the stream drains. Telemetry goes
+/// to stderr.
 ///
 /// `serve --listen HOST:PORT` binds the same execution loop behind a TCP
 /// socket (net::Server): clients ship flow::wire JobSpec frames and receive

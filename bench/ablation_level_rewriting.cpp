@@ -15,7 +15,7 @@ namespace {
 /// Mean over non-PI nodes of (fanout level index − own level): the storage
 /// duration proxy the paper reasons with in Fig. 2.
 double mean_level_gap(const rlim::mig::Mig& graph) {
-  const auto levels = graph.levels();
+  const auto& levels = graph.levels();
   const auto reachable = graph.reachable_from_pos();
   std::vector<std::uint32_t> consumer_level(graph.num_nodes(), 0);
   for (std::uint32_t gate = graph.first_gate(); gate < graph.num_nodes(); ++gate) {

@@ -9,6 +9,8 @@
 #include <filesystem>
 
 #include "benchmarks/arithmetic.hpp"
+#include "benchmarks/suite.hpp"
+#include "core/config.hpp"
 #include "core/endurance.hpp"
 #include "fault/array.hpp"
 #include "fault/fault.hpp"
@@ -80,6 +82,47 @@ void BM_CompileNaive(benchmark::State& state) {
                           graph.num_gates());
 }
 BENCHMARK(BM_CompileNaive)->Arg(64)->Unit(benchmark::kMillisecond);
+
+// Compile alone on wide, high-fanout graphs (adders have almost no fanout):
+// paper-suite graphs, each rewritten once by the config's flow outside the
+// timed loop. Arg 0 indexes kWideGraphs, arg 1 kCompileConfigs — the five
+// paper presets, then the full flow under the wear_quota selector.
+constexpr const char* kWideGraphs[] = {"div", "multiplier", "mem_ctrl"};
+constexpr const char* kCompileConfigs[] = {
+    "naive", "plim21", "min-write", "endurance-rewrite", "full",
+    "full,select=wear_quota"};
+
+const mig::Mig& rewritten_paper_graph(const std::string& name,
+                                      const core::PipelineConfig& config) {
+  static std::map<std::string, mig::Mig> cache;
+  const auto key = name + '|' + config.canonical_key();
+  auto it = cache.find(key);
+  if (it == cache.end()) {
+    const auto rewrite = pass::make_rewrite(config.rewrite);
+    it = cache.emplace(key, rewrite(bench::find_benchmark(name).build(), nullptr))
+             .first;
+  }
+  return it->second;
+}
+
+void BM_CompilePaper(benchmark::State& state) {
+  const std::string name = kWideGraphs[state.range(0)];
+  const std::string spec = kCompileConfigs[state.range(1)];
+  const auto config = core::PipelineConfig::parse(spec);
+  const auto& graph = rewritten_paper_graph(name, config);
+  const plim::PlimCompiler compiler(
+      {config.selection, config.allocation, config.max_writes});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compiler.compile(graph));
+  }
+  state.SetLabel(name + ' ' + spec);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          graph.num_gates());
+}
+BENCHMARK(BM_CompilePaper)
+    ->ArgsProduct({{0, 1, 2}, {0, 1, 2, 3, 4, 5}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CrossbarExecute(benchmark::State& state) {
   const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));

@@ -363,7 +363,7 @@ PassResult pass_inv_three(const Mig& mig) { return flip_pass(mig, 3); }
 PassResult pass_level_balance(const Mig& mig) {
   const auto reachable = mig.reachable_from_pos();
   const auto fanouts = mig.fanout_counts();
-  const auto levels = mig.levels();
+  const auto& levels = mig.levels();
 
   struct Plan {
     Signal y, u, x, z;  // new inner = ⟨y u x⟩, new outer = ⟨z u inner⟩

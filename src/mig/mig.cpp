@@ -273,25 +273,18 @@ int Mig::complement_count(std::uint32_t gate) const {
 }
 
 std::vector<bool> Mig::reachable_from_pos() const {
+  // Fanins precede their gate, so one backward sweep over the gates sees
+  // every gate's mark before it propagates it.
   std::vector<bool> reachable(num_nodes(), false);
-  std::vector<std::uint32_t> stack;
   for (const auto po : pos_) {
-    if (!reachable[po.index()]) {
-      reachable[po.index()] = true;
-      stack.push_back(po.index());
-    }
+    reachable[po.index()] = true;
   }
-  while (!stack.empty()) {
-    const auto node = stack.back();
-    stack.pop_back();
-    if (!is_gate(node)) {
+  for (auto gate = num_nodes(); gate-- > first_gate();) {
+    if (!reachable[gate]) {
       continue;
     }
-    for (const auto fanin : fanins_[node - first_gate()]) {
-      if (!reachable[fanin.index()]) {
-        reachable[fanin.index()] = true;
-        stack.push_back(fanin.index());
-      }
+    for (const auto fanin : fanins_[gate - first_gate()]) {
+      reachable[fanin.index()] = true;
     }
   }
   return reachable;

@@ -163,7 +163,7 @@ public:
 
   /// Topological levels: constant and PIs are level 0; a gate is
   /// 1 + max(level of fanins).
-  [[nodiscard]] std::vector<std::uint32_t> levels() const { return levels_; }
+  [[nodiscard]] const std::vector<std::uint32_t>& levels() const { return levels_; }
 
   /// Depth = maximum level over PO-driving nodes.
   [[nodiscard]] std::uint32_t depth() const;

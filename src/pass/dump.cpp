@@ -33,7 +33,7 @@ void dump_graph(const mig::Mig& graph, std::ostream& os) {
   os << "# MIG: " << graph.num_pis() << " PIs, " << graph.num_pos()
      << " POs, " << graph.num_gates() << " gates, depth " << graph.depth()
      << ", complemented edges " << graph.complement_edge_count() << '\n';
-  const auto levels = graph.levels();
+  const auto& levels = graph.levels();
   const auto fanouts = graph.fanout_counts();
   for (std::uint32_t pi = 0; pi < graph.num_pis(); ++pi) {
     os << "pi n" << (pi + 1) << ' ' << graph.pi_name(pi) << " fanout="

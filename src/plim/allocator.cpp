@@ -1,8 +1,9 @@
 #include "plim/allocator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
-#include <set>
+#include <functional>
 #include <utility>
 
 #include "util/error.hpp"
@@ -14,19 +15,19 @@ namespace {
 /// Most recently freed first — maximizes reuse locality, and wear.
 class LifoAllocator final : public Allocator {
 public:
-  void push(Cell cell, std::uint64_t) override { queue_.push_back(cell); }
+  void push(Cell cell, std::uint64_t) override { stack_.push_back(cell); }
   std::optional<Cell> pop() override {
-    if (queue_.empty()) {
+    if (stack_.empty()) {
       return std::nullopt;
     }
-    const auto cell = queue_.back();
-    queue_.pop_back();
+    const auto cell = stack_.back();
+    stack_.pop_back();
     return cell;
   }
-  [[nodiscard]] std::size_t size() const override { return queue_.size(); }
+  [[nodiscard]] std::size_t size() const override { return stack_.size(); }
 
 private:
-  std::deque<Cell> queue_;
+  std::vector<Cell> stack_;
 };
 
 /// Oldest freed first.
@@ -47,50 +48,95 @@ private:
   std::deque<Cell> queue_;
 };
 
+/// Free cells as a bitset searched circularly: `take_from(cursor)` removes
+/// the first free cell at or after the cursor, else wraps to the first free
+/// cell overall — the two index-ordered policies below.
+class FreeBitset {
+public:
+  void insert(Cell cell) {
+    const auto word = cell / 64;
+    if (word >= words_.size()) {
+      words_.resize(word + 1, 0);
+    }
+    words_[word] |= 1ULL << (cell % 64);
+    ++size_;
+  }
+
+  /// Requires a non-empty set.
+  Cell take_from(Cell cursor) {
+    auto cell = find_from(cursor);
+    if (!cell) {
+      cell = find_from(0);  // wrap around
+    }
+    words_[*cell / 64] &= ~(1ULL << (*cell % 64));
+    --size_;
+    return *cell;
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+private:
+  [[nodiscard]] std::optional<Cell> find_from(Cell cursor) const {
+    auto word = static_cast<std::size_t>(cursor / 64);
+    if (word >= words_.size()) {
+      return std::nullopt;
+    }
+    auto bits = words_[word] & (~0ULL << (cursor % 64));
+    while (bits == 0) {
+      if (++word == words_.size()) {
+        return std::nullopt;
+      }
+      bits = words_[word];
+    }
+    return static_cast<Cell>(word * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+  }
+
+  std::vector<std::uint64_t> words_;
+  std::size_t size_ = 0;
+};
+
 /// Cycle through free cells by index: the cursor follows the last allocation.
 class RoundRobinAllocator final : public Allocator {
 public:
-  void push(Cell cell, std::uint64_t) override { by_index_.insert(cell); }
+  void push(Cell cell, std::uint64_t) override { free_.insert(cell); }
   std::optional<Cell> pop() override {
-    if (by_index_.empty()) {
+    if (free_.size() == 0) {
       return std::nullopt;
     }
-    auto it = by_index_.lower_bound(cursor_);
-    if (it == by_index_.end()) {
-      it = by_index_.begin();  // wrap around
-    }
-    const auto cell = *it;
-    by_index_.erase(it);
+    const auto cell = free_.take_from(cursor_);
     cursor_ = cell + 1;
     return cell;
   }
-  [[nodiscard]] std::size_t size() const override { return by_index_.size(); }
+  [[nodiscard]] std::size_t size() const override { return free_.size(); }
 
 private:
-  std::set<Cell> by_index_;
+  FreeBitset free_;
   Cell cursor_ = 0;
 };
 
-/// The paper's minimum write count strategy: least-written free cell first.
-/// Counts cannot change while a cell is free, so the ordering captured at
-/// push time stays valid without rebalancing.
+/// The paper's minimum write count strategy: least-written free cell first,
+/// ties to the lower index. A binary min-heap on (writes, cell); counts
+/// cannot change while a cell is free, so the key captured at push time
+/// stays valid without rebalancing.
 class MinWriteAllocator final : public Allocator {
 public:
   void push(Cell cell, std::uint64_t writes) override {
-    by_writes_.emplace(writes, cell);
+    heap_.emplace_back(writes, cell);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   }
   std::optional<Cell> pop() override {
-    if (by_writes_.empty()) {
+    if (heap_.empty()) {
       return std::nullopt;
     }
-    const auto cell = by_writes_.begin()->second;
-    by_writes_.erase(by_writes_.begin());
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const auto cell = heap_.back().second;
+    heap_.pop_back();
     return cell;
   }
-  [[nodiscard]] std::size_t size() const override { return by_writes_.size(); }
+  [[nodiscard]] std::size_t size() const override { return heap_.size(); }
 
 private:
-  std::set<std::pair<std::uint64_t, Cell>> by_writes_;
+  std::vector<std::pair<std::uint64_t, Cell>> heap_;
 };
 
 /// Start-Gap-inspired rotation (Qureshi et al., MICRO 2009; modeled at the
@@ -108,15 +154,10 @@ public:
   }
 
   std::optional<Cell> pop() override {
-    if (free_.empty()) {
+    if (free_.size() == 0) {
       return std::nullopt;
     }
-    auto it = free_.lower_bound(start_);
-    if (it == free_.end()) {
-      it = free_.begin();  // wrap around
-    }
-    const auto cell = *it;
-    free_.erase(it);
+    const auto cell = free_.take_from(start_);
     if (++allocations_ % interval_ == 0) {
       ++start_;  // the gap roves one slot
       if (start_ > max_cell_) {
@@ -133,7 +174,7 @@ private:
   std::uint64_t allocations_ = 0;
   Cell start_ = 0;
   Cell max_cell_ = 0;
-  std::set<Cell> free_;
+  FreeBitset free_;
 };
 
 }  // namespace
@@ -198,6 +239,7 @@ Cell CellAllocator::add_live_cell() {
   const auto cell = static_cast<Cell>(writes_.size());
   writes_.push_back(0);
   quarantined_.push_back(false);
+  free_.push_back(false);
   return cell;
 }
 
@@ -225,6 +267,7 @@ Cell CellAllocator::acquire(std::uint64_t headroom) {
     free_list_->push(cell, writes_[cell]);
   }
   if (found) {
+    free_[*found] = false;
     return *found;
   }
   return add_live_cell();  // grow the array (+1 to the paper's #R)
@@ -232,6 +275,8 @@ Cell CellAllocator::acquire(std::uint64_t headroom) {
 
 void CellAllocator::release(Cell cell) {
   require(cell < writes_.size(), "CellAllocator::release: unknown cell");
+  require(!free_[cell], "CellAllocator::release: cell is already free");
+  free_[cell] = true;
   if (quarantined_[cell]) {
     return;  // retired for good — the maximum write count strategy
   }

@@ -18,6 +18,12 @@ namespace rlim::plim {
 /// cell's write count at release time; counts cannot change while a cell is
 /// free, so ordering decisions made at push time stay valid. One instance
 /// per compilation (factory-constructed); implementations may keep state.
+///
+/// A cell is pushed at most once while free: CellAllocator rejects a double
+/// release, so a policy must not rely on deduplicating cells the way a
+/// sorted set would. Every built-in ordering is total — by release order, or
+/// by a key that ends in the unique cell index — so flat heaps and bitsets
+/// pop in exactly the order a sorted set would.
 class Allocator {
 public:
   virtual ~Allocator() = default;
@@ -84,7 +90,8 @@ public:
   Cell acquire(std::uint64_t headroom = 1);
 
   /// Returns a dead cell to the free set (quarantined cells are retired
-  /// instead and never come back).
+  /// instead and never come back). Throws rlim::Error when the cell is
+  /// already free or retired.
   void release(Cell cell);
 
   /// Accounts one write; quarantines the cell when it reaches the cap.
@@ -108,6 +115,7 @@ private:
   std::optional<std::uint64_t> max_writes_;
   std::vector<std::uint64_t> writes_;
   std::vector<bool> quarantined_;
+  std::vector<bool> free_;  ///< released (free or retired), not yet reacquired
   AllocatorPtr free_list_;
 };
 

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <functional>
 #include <map>
-#include <set>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -37,7 +38,6 @@ public:
         reachable_(graph.reachable_from_pos()),
         use_count_(graph.num_nodes(), 0),
         cell_of_(graph.num_nodes()),
-        parents_(graph.num_nodes()),
         pending_(graph.num_nodes(), 0),
         fanout_level_(graph.num_nodes(), 0),
         key_of_(graph.num_nodes()) {
@@ -48,7 +48,7 @@ public:
     analyze();
     bind_inputs();
     seed_candidates();
-    while (!candidates_.empty()) {
+    while (live_candidates_ > 0) {
       const auto gate = pop_candidate();
       // Snapshot before translation: compute_gate consumes the fanins'
       // use counts, which would skew info.releasing for the notification.
@@ -66,7 +66,7 @@ private:
   // ---- static analysis ------------------------------------------------------
 
   void analyze() {
-    const auto levels = mig_.levels();
+    const auto& levels = mig_.levels();
     const auto graph_depth = mig_.depth();
     for (std::uint32_t gate = mig_.first_gate(); gate < mig_.num_nodes(); ++gate) {
       if (!reachable_[gate]) {
@@ -77,11 +77,29 @@ private:
           continue;
         }
         ++use_count_[fanin.index()];
-        parents_[fanin.index()].push_back(gate);
         fanout_level_[fanin.index()] =
             std::max(fanout_level_[fanin.index()], levels[gate]);
         if (mig_.is_gate(fanin.index())) {
           ++pending_[gate];
+        }
+      }
+    }
+    // Fanout lists in CSR form. So far use_count_ holds exactly the gate
+    // references, i.e. each node's parent count.
+    parent_begin_.resize(mig_.num_nodes() + 1);
+    parent_begin_[0] = 0;
+    for (std::uint32_t node = 0; node < mig_.num_nodes(); ++node) {
+      parent_begin_[node + 1] = parent_begin_[node] + use_count_[node];
+    }
+    parents_.resize(parent_begin_.back());
+    std::vector<std::uint32_t> next(parent_begin_.begin(), parent_begin_.end() - 1);
+    for (std::uint32_t gate = mig_.first_gate(); gate < mig_.num_nodes(); ++gate) {
+      if (!reachable_[gate]) {
+        continue;
+      }
+      for (const auto fanin : mig_.fanins(gate)) {
+        if (!fanin.is_constant()) {
+          parents_[next[fanin.index()]++] = gate;
         }
       }
     }
@@ -94,9 +112,11 @@ private:
       // possible fanout level (paper Fig. 2: "blocked RRAMs").
       fanout_level_[po.index()] = graph_depth + 1;
     }
-    // pending_ counted fanin edges; convert to distinct gate-fanin count.
-    // (Fanins of a gate are distinct nodes, so the edge count is already the
-    // node count — nothing to do; kept as an invariant note.)
+  }
+
+  [[nodiscard]] std::span<const std::uint32_t> parents_of(std::uint32_t node) const {
+    return {parents_.data() + parent_begin_[node],
+            parents_.data() + parent_begin_[node + 1]};
   }
 
   void bind_inputs() {
@@ -116,6 +136,11 @@ private:
   }
 
   // ---- candidate management -------------------------------------------------
+  //
+  // The candidates form a lazy-deletion binary min-heap: key_of_[gate] is a
+  // pending gate's only live key, and a heap entry that differs from it is
+  // stale and skipped when it surfaces. Keys end in the unique gate index, so
+  // the order is total and the pop sequence is that of a sorted set.
 
   /// A Selector's 3-component priority plus the node index as the final
   /// tiebreaker — equal priorities resolve by construction order.
@@ -151,39 +176,61 @@ private:
     }
   }
 
+  void push_candidate(const Key& key) {
+    key_of_[key[3]] = key;
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
+
   void insert_candidate(std::uint32_t gate) {
-    const auto key = make_key(gate);
-    candidates_.insert(key);
-    key_of_[gate] = key;
+    push_candidate(make_key(gate));
+    ++live_candidates_;
   }
 
   void refresh_candidate(std::uint32_t gate) {
     if (!key_of_[gate]) {
       return;
     }
-    candidates_.erase(*key_of_[gate]);
-    insert_candidate(gate);
-  }
-
-  /// Recomputes every pending candidate's key — requested by stateful
-  /// selectors whose ranking shifted globally.
-  void refresh_all_candidates() {
-    candidates_.clear();
-    for (std::uint32_t gate = mig_.first_gate(); gate < mig_.num_nodes();
-         ++gate) {
-      if (key_of_[gate]) {
-        insert_candidate(gate);
-      }
+    const auto key = make_key(gate);
+    if (key != *key_of_[gate]) {
+      push_candidate(key);
     }
   }
 
+  /// Recomputes every pending candidate's key — requested by stateful
+  /// selectors whose ranking shifted globally. Keeps one entry per live
+  /// candidate (a key that changed and changed back has two) and drops the
+  /// stale ones.
+  void refresh_all_candidates() {
+    std::size_t kept = 0;
+    for (const auto& entry : heap_) {
+      auto& live = key_of_[entry[3]];
+      if (live && *live == entry) {
+        live.reset();
+        heap_[kept++] = entry;
+      }
+    }
+    heap_.resize(kept);
+    for (auto& entry : heap_) {
+      entry = make_key(entry[3]);
+      key_of_[entry[3]] = entry;
+    }
+    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
+
   std::uint32_t pop_candidate() {
-    assert(!candidates_.empty());
-    const auto key = *candidates_.begin();
-    candidates_.erase(candidates_.begin());
-    const auto gate = key[3];
-    key_of_[gate].reset();
-    return gate;
+    for (;;) {
+      assert(!heap_.empty());
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      const auto key = heap_.back();
+      heap_.pop_back();
+      auto& live = key_of_[key[3]];
+      if (live && *live == key) {
+        live.reset();
+        --live_candidates_;
+        return key[3];
+      }
+    }
   }
 
   // ---- emission helpers -----------------------------------------------------
@@ -293,7 +340,8 @@ private:
         std::tuple(kPermutations[best][0], kPermutations[best][1],
                    kPermutations[best][2]);
 
-    std::vector<Cell> temps;
+    std::array<Cell, 2> temps{};
+    std::size_t num_temps = 0;
 
     // Operand A — read as-is.
     Operand op_a;
@@ -305,7 +353,7 @@ private:
         op_a = Operand::cell(cell_of(s.index()));
       } else {
         const auto temp = make_complement_copy(s.index(), false);
-        temps.push_back(temp);
+        temps[num_temps++] = temp;
         op_a = Operand::cell(temp);
       }
     }
@@ -320,7 +368,7 @@ private:
         op_b = Operand::cell(cell_of(s.index()));
       } else {
         const auto temp = make_complement_copy(s.index(), false);
-        temps.push_back(temp);
+        temps[num_temps++] = temp;
         op_b = Operand::cell(temp);
       }
     }
@@ -345,10 +393,9 @@ private:
 
     emit(Instruction{op_a, op_b, dest}, true);
     cell_of_[gate] = dest;
-    computed_[gate] = true;
 
-    for (const auto temp : temps) {
-      allocator_.release(temp);
+    for (std::size_t i = 0; i < num_temps; ++i) {
+      allocator_.release(temps[i]);
     }
 
     // Consume fanin references; release dead values; propagate the
@@ -369,14 +416,14 @@ private:
           cell_of_[node].reset();
         }
       } else if (use_count_[node] == 1) {
-        for (const auto parent : parents_[node]) {
+        for (const auto parent : parents_of(node)) {
           refresh_candidate(parent);
         }
       }
     }
 
     // Newly computable parents join the candidate set.
-    for (const auto parent : parents_[gate]) {
+    for (const auto parent : parents_of(gate)) {
       assert(pending_[parent] > 0);
       if (--pending_[parent] == 0) {
         insert_candidate(parent);
@@ -432,12 +479,13 @@ private:
   std::vector<bool> reachable_;
   std::vector<std::uint32_t> use_count_;
   std::vector<std::optional<Cell>> cell_of_;
-  std::vector<std::vector<std::uint32_t>> parents_;
+  std::vector<std::uint32_t> parent_begin_;  ///< CSR offsets into parents_
+  std::vector<std::uint32_t> parents_;       ///< reachable consumer gates
   std::vector<std::uint32_t> pending_;
   std::vector<std::uint32_t> fanout_level_;
   std::vector<std::optional<Key>> key_of_;
-  std::vector<bool> computed_ = std::vector<bool>(mig_.num_nodes(), false);
-  std::set<Key> candidates_;
+  std::vector<Key> heap_;
+  std::size_t live_candidates_ = 0;
   std::size_t gate_instructions_ = 0;
   std::size_t overhead_instructions_ = 0;
 };

@@ -26,7 +26,9 @@ using SelectionKey = std::array<std::uint32_t, 3>;
 
 /// Node-selection policy object. The compiler constructs one fresh instance
 /// per compilation (factory-constructed), so implementations may keep
-/// arbitrary state across priority() calls.
+/// arbitrary state across priority() calls — but a key must depend only on
+/// that state and `info`, not on call order: the compiler re-ranks pending
+/// candidates in an unspecified order.
 class Selector {
 public:
   virtual ~Selector() = default;

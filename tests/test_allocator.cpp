@@ -244,6 +244,30 @@ TEST(Allocator, StartGapIntervalMustBePositive) {
       Error);
 }
 
+TEST(Allocator, DoubleReleaseThrows) {
+  // Every policy trusts that a free cell is pushed once; a second release
+  // must fail loudly instead of deduplicating (a set) or handing the cell
+  // out twice (a queue, heap or bitset).
+  for (const auto* key :
+       {"lifo", "fifo", "round_robin", "min_write", "start_gap"}) {
+    auto alloc = with_policy(key, 4);
+    const auto a = alloc.acquire();
+    const auto b = alloc.acquire();
+    alloc.release(a);
+    EXPECT_THROW(alloc.release(a), Error) << key;
+    EXPECT_EQ(alloc.free_count(), 1u) << key;
+    EXPECT_EQ(alloc.acquire(), a) << key;
+    alloc.release(a);  // free again after the reacquire
+    // A retired (quarantined) cell counts as released too.
+    for (int i = 0; i < 4; ++i) {
+      alloc.note_write(b);
+    }
+    alloc.release(b);
+    EXPECT_THROW(alloc.release(b), Error) << key;
+    EXPECT_EQ(alloc.free_count(), 1u) << key;
+  }
+}
+
 TEST(Allocator, NullPolicyRejected) {
   EXPECT_THROW(CellAllocator(AllocatorPtr{}, std::nullopt), Error);
 }

@@ -19,7 +19,7 @@ namespace {
 
 /// The reference model's own policy enumeration, independent of the
 /// registry it is checked against.
-enum class AllocPolicy { Lifo, Fifo, RoundRobin, MinWrite };
+enum class AllocPolicy { Lifo, Fifo, RoundRobin, MinWrite, StartGap };
 
 /// Registry key of the policy the model mirrors.
 std::string to_string(AllocPolicy policy) {
@@ -28,8 +28,20 @@ std::string to_string(AllocPolicy policy) {
     case AllocPolicy::Fifo: return "fifo";
     case AllocPolicy::RoundRobin: return "round_robin";
     case AllocPolicy::MinWrite: return "min_write";
+    case AllocPolicy::StartGap: return "start_gap";
   }
   return "?";
+}
+
+/// start_gap's interval in both the model and the real policy: small, so
+/// the start pointer roves (and wraps) many times in one sequence.
+constexpr std::uint64_t kStartGapInterval = 3;
+
+util::PolicySpec spec_of(AllocPolicy policy) {
+  if (policy == AllocPolicy::StartGap) {
+    return {"start_gap", {{"interval", std::to_string(kStartGapInterval)}}};
+  }
+  return {to_string(policy), {}};
 }
 
 /// Reference allocator: same contract, naive data structures.
@@ -78,7 +90,30 @@ public:
   [[nodiscard]] std::size_t free_count() const { return free_order_.size(); }
 
 private:
-  void push_candidate(Cell cell) { free_order_.push_back(cell); }
+  void push_candidate(Cell cell) {
+    max_cell_ = std::max(max_cell_, cell);
+    free_order_.push_back(cell);
+  }
+
+  /// Position of the smallest free cell >= `from`, else of the smallest.
+  [[nodiscard]] std::size_t first_from(Cell from) const {
+    std::optional<std::size_t> best;
+    for (std::size_t i = 0; i < free_order_.size(); ++i) {
+      const auto candidate = free_order_[i];
+      const bool candidate_ge = candidate >= from;
+      const bool best_ge = best && free_order_[*best] >= from;
+      if (!best) {
+        best = i;
+      } else if (candidate_ge != best_ge) {
+        if (candidate_ge) {
+          best = i;
+        }
+      } else if (candidate < free_order_[*best]) {
+        best = i;
+      }
+    }
+    return *best;
+  }
 
   Cell pop_candidate() {
     std::size_t pick = 0;
@@ -89,27 +124,18 @@ private:
       case AllocPolicy::Fifo:
         pick = 0;
         break;
-      case AllocPolicy::RoundRobin: {
-        // Smallest index >= cursor, else smallest overall.
-        std::optional<std::size_t> best;
-        for (std::size_t i = 0; i < free_order_.size(); ++i) {
-          const auto candidate = free_order_[i];
-          const bool candidate_ge = candidate >= cursor_;
-          const bool best_ge = best && free_order_[*best] >= cursor_;
-          if (!best) {
-            best = i;
-          } else if (candidate_ge != best_ge) {
-            if (candidate_ge) {
-              best = i;
-            }
-          } else if (candidate < free_order_[*best]) {
-            best = i;
-          }
-        }
-        pick = *best;
+      case AllocPolicy::RoundRobin:
+        pick = first_from(cursor_);
         cursor_ = free_order_[pick] + 1;
         break;
-      }
+      case AllocPolicy::StartGap:
+        // Served from the roving start; every kStartGapInterval-th pop
+        // moves the start one cell, wrapping past the highest cell seen.
+        pick = first_from(start_);
+        if (++allocations_ % kStartGapInterval == 0) {
+          start_ = start_ + 1 > max_cell_ ? 0 : start_ + 1;
+        }
+        break;
       case AllocPolicy::MinWrite: {
         std::size_t best = 0;
         for (std::size_t i = 1; i < free_order_.size(); ++i) {
@@ -133,6 +159,9 @@ private:
   std::vector<std::uint64_t> writes_;
   std::deque<Cell> free_order_;
   Cell cursor_ = 0;
+  Cell start_ = 0;
+  Cell max_cell_ = 0;
+  std::uint64_t allocations_ = 0;
 };
 
 class AllocatorModelCheck
@@ -143,7 +172,7 @@ TEST_P(AllocatorModelCheck, AgreesWithReferenceOnRandomSequences) {
   const std::optional<std::uint64_t> cap =
       cap_value == 0 ? std::nullopt : std::optional<std::uint64_t>(cap_value);
 
-  CellAllocator real(make_allocator({to_string(policy), {}}), cap);
+  CellAllocator real(make_allocator(spec_of(policy)), cap);
   ModelAllocator model(policy, cap);
   util::Xoshiro256 rng(seed);
 
@@ -189,7 +218,8 @@ INSTANTIATE_TEST_SUITE_P(
     PoliciesCapsSeeds, AllocatorModelCheck,
     ::testing::Combine(::testing::Values(AllocPolicy::Lifo, AllocPolicy::Fifo,
                                          AllocPolicy::RoundRobin,
-                                         AllocPolicy::MinWrite),
+                                         AllocPolicy::MinWrite,
+                                         AllocPolicy::StartGap),
                        ::testing::Values(0, 5, 12),
                        ::testing::Values(1u, 2u, 3u)),
     [](const auto& info) {
@@ -197,6 +227,37 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "_seed" +
              std::to_string(std::get<2>(info.param));
     });
+
+TEST(AllocatorModel, RoundRobinCursorPastLastFreeWord) {
+  // The free cells sit in 64-cell words; a cursor in a later word (or past
+  // every word the free set has touched) must wrap to the lowest free cell.
+  CellAllocator real(make_allocator(spec_of(AllocPolicy::RoundRobin)),
+                     std::nullopt);
+  ModelAllocator model(AllocPolicy::RoundRobin, std::nullopt);
+  for (int i = 0; i < 330; ++i) {
+    ASSERT_EQ(real.acquire(1), model.acquire(1));
+  }
+  const auto release = [&](Cell cell) {
+    real.release(cell);
+    model.release(cell);
+  };
+  const auto acquire = [&] {
+    const auto cell = real.acquire(1);
+    EXPECT_EQ(cell, model.acquire(1));
+    return cell;
+  };
+  release(319);
+  release(3);
+  EXPECT_EQ(acquire(), 3u);
+  EXPECT_EQ(acquire(), 319u);  // cursor 320: beyond the bitset's last word
+  release(200);
+  release(1);
+  EXPECT_EQ(acquire(), 1u);  // wraps
+  EXPECT_EQ(acquire(), 200u);
+  release(64);
+  EXPECT_EQ(acquire(), 64u);  // cursor 201: later words exist but are empty
+  EXPECT_EQ(real.free_count(), model.free_count());
+}
 
 }  // namespace
 }  // namespace rlim::plim

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "benchmarks/suite.hpp"
 #include "mig/mig.hpp"
 #include "mig/simulate.hpp"
 #include "plim/compiler.hpp"
 #include "plim/controller.hpp"
 #include "test_helpers.hpp"
+#include "util/hash.hpp"
 
 namespace rlim::plim {
 namespace {
@@ -398,6 +405,163 @@ TEST(Compiler, HugeWearQuotaMatchesEnduranceAware) {
       PlimCompiler({{"endurance", {}}, {"min_write", {}}}).compile(graph);
   EXPECT_EQ(quota.num_instructions(), endurance.num_instructions());
   EXPECT_DOUBLE_EQ(quota.write_stats.stdev, endurance.write_stats.stdev);
+}
+
+// ---- pinned programs -----------------------------------------------------------
+
+/// Every observable of one compile folded into a digest: the instruction
+/// words, the PI/PO bindings, #R, the write-count min/max/total and the
+/// quarantine count.
+void fold_outcome(util::Fnv1a64& hash, const CompileResult& result) {
+  for (const auto& instruction : result.program.instructions()) {
+    hash.u32(instruction.a.raw()).u32(instruction.b.raw()).u32(instruction.z);
+  }
+  for (const auto cell : result.program.pi_cells()) {
+    hash.u32(cell);
+  }
+  for (const auto cell : result.program.po_cells()) {
+    hash.u32(cell);
+  }
+  hash.u64(result.num_cells)
+      .u64(result.write_stats.min)
+      .u64(result.write_stats.max)
+      .u64(result.write_stats.total)
+      .u64(result.quarantined_cells);
+}
+
+struct PinnedRow {
+  const char* graph;   ///< mini-suite name, or "paper:<name>"
+  const char* select;  ///< selector spec
+  std::uint64_t digest;
+};
+
+/// One digest per (graph, selector), folded over every allocator in
+/// kPinnedAllocators x {no cap, cap=6} in that order. The paper-suite graphs
+/// run uncapped only: under cap=6 their free sets fill with near-cap cells
+/// that every acquire pops and restores, seconds per compile. Recorded from
+/// the std::set-based compiler and allocators; the flat heap/bitset
+/// structures must pop in exactly the same order.
+constexpr const char* kPinnedAllocators[] = {"lifo", "fifo", "round_robin",
+                                             "min_write", "start_gap:interval=3"};
+constexpr PinnedRow kPinned[] = {
+    {"adder", "naive", 0x2a131a0e73739abeULL},
+    {"adder", "plim21", 0xf4533aacba28ae27ULL},
+    {"adder", "endurance", 0x4671083c69cea9c4ULL},
+    {"adder", "wear_quota:quota=4", 0xc2f37a7c04e3ac18ULL},
+    {"bar", "naive", 0x90e78e1fc82897b7ULL},
+    {"bar", "plim21", 0x6cb8546e781715a0ULL},
+    {"bar", "endurance", 0x93d70881d7899bfeULL},
+    {"bar", "wear_quota:quota=4", 0x8566327cfdec595aULL},
+    {"div", "naive", 0x7677436225fcce9bULL},
+    {"div", "plim21", 0xdf611ac7564299a0ULL},
+    {"div", "endurance", 0xdea9174b0ea0aecULL},
+    {"div", "wear_quota:quota=4", 0xe7bbe30ae8986b2bULL},
+    {"log2", "naive", 0x35b66396a15e2dc7ULL},
+    {"log2", "plim21", 0x70430decc703ad49ULL},
+    {"log2", "endurance", 0x33cb20757e14927dULL},
+    {"log2", "wear_quota:quota=4", 0x686a9bc7f17197d3ULL},
+    {"max", "naive", 0x7f48a4ad0e752c01ULL},
+    {"max", "plim21", 0xb1a246ee0f0e6029ULL},
+    {"max", "endurance", 0x2c86c6610f189188ULL},
+    {"max", "wear_quota:quota=4", 0x7fade87349c73ca1ULL},
+    {"multiplier", "naive", 0x90d756c1a1f77754ULL},
+    {"multiplier", "plim21", 0xd938ec4b1fefc4f0ULL},
+    {"multiplier", "endurance", 0x6eb4fdc45f14b8c8ULL},
+    {"multiplier", "wear_quota:quota=4", 0x90a60e489c68dc15ULL},
+    {"sin", "naive", 0xeecd00ea654508d5ULL},
+    {"sin", "plim21", 0xfa5c1892a01f439bULL},
+    {"sin", "endurance", 0xae128185a0d75722ULL},
+    {"sin", "wear_quota:quota=4", 0x1fe1e1f09af82982ULL},
+    {"sqrt", "naive", 0xc317d3fad5d2753fULL},
+    {"sqrt", "plim21", 0x3f7cc5e0728c16aULL},
+    {"sqrt", "endurance", 0xdfe44892865333faULL},
+    {"sqrt", "wear_quota:quota=4", 0xd2f19c757ec5e8b2ULL},
+    {"square", "naive", 0x6bc276df4b7060f5ULL},
+    {"square", "plim21", 0x13600a996899713dULL},
+    {"square", "endurance", 0x71c54b7bd5a76452ULL},
+    {"square", "wear_quota:quota=4", 0x6c0b37acc0444628ULL},
+    {"cavlc", "naive", 0xf197351de373c379ULL},
+    {"cavlc", "plim21", 0x40cd95f4d1627668ULL},
+    {"cavlc", "endurance", 0xbff16b648f8cdfe8ULL},
+    {"cavlc", "wear_quota:quota=4", 0xeafb068a1e451b2eULL},
+    {"ctrl", "naive", 0xd74d4911e5b6fe1eULL},
+    {"ctrl", "plim21", 0xe5072ae48d98a818ULL},
+    {"ctrl", "endurance", 0xe4626d71a0043d9bULL},
+    {"ctrl", "wear_quota:quota=4", 0xd53109f9cd528792ULL},
+    {"dec", "naive", 0xdf0568fffe1e1f54ULL},
+    {"dec", "plim21", 0x9dbe2b61fd0418b4ULL},
+    {"dec", "endurance", 0x9dbe2b61fd0418b4ULL},
+    {"dec", "wear_quota:quota=4", 0xa7bf64dd1adb16f4ULL},
+    {"i2c", "naive", 0x9955d0fa8be2709fULL},
+    {"i2c", "plim21", 0xb7cd544d2fe017d0ULL},
+    {"i2c", "endurance", 0x9dc66ce16be63e13ULL},
+    {"i2c", "wear_quota:quota=4", 0x875816ae078a8014ULL},
+    {"int2float", "naive", 0x13471e5bd115bf80ULL},
+    {"int2float", "plim21", 0x89b23135db93e458ULL},
+    {"int2float", "endurance", 0xbf031c5fa81b70b3ULL},
+    {"int2float", "wear_quota:quota=4", 0x98fe79526a0220ebULL},
+    {"mem_ctrl", "naive", 0x123a2a3114155fceULL},
+    {"mem_ctrl", "plim21", 0xa316be35962fefd0ULL},
+    {"mem_ctrl", "endurance", 0x3b218f101f1dd101ULL},
+    {"mem_ctrl", "wear_quota:quota=4", 0x7df69b6fcd529259ULL},
+    {"priority", "naive", 0x8ca9a0ef35ff7f48ULL},
+    {"priority", "plim21", 0x1f7734f4ac769af1ULL},
+    {"priority", "endurance", 0xc86c1cbb284207adULL},
+    {"priority", "wear_quota:quota=4", 0xbf2f9bdb1fd014b2ULL},
+    {"router", "naive", 0x884ce821c57bcfa6ULL},
+    {"router", "plim21", 0xdcb54d85c78a4e1cULL},
+    {"router", "endurance", 0x7d3c28a5598a9d1eULL},
+    {"router", "wear_quota:quota=4", 0x4664eb372db2281dULL},
+    {"voter", "naive", 0x750577a20d5ad5c7ULL},
+    {"voter", "plim21", 0x23e464ded0a11233ULL},
+    {"voter", "endurance", 0x305b4ec4dd197d59ULL},
+    {"voter", "wear_quota:quota=4", 0x305b4ec4dd197d59ULL},
+    {"paper:mem_ctrl", "naive", 0x846b65e00220e5b2ULL},
+    {"paper:mem_ctrl", "plim21", 0x67dfaaf80187b612ULL},
+    {"paper:mem_ctrl", "endurance", 0x3c9cdf74303be19cULL},
+    {"paper:mem_ctrl", "wear_quota:quota=4", 0xd355a6db7b22d29bULL},
+    {"paper:multiplier", "naive", 0x74ea4b5811312f9bULL},
+    {"paper:multiplier", "plim21", 0xbcc82ea31b38cbf4ULL},
+    {"paper:multiplier", "endurance", 0xed4e74874acda40cULL},
+    {"paper:multiplier", "wear_quota:quota=4", 0x666e66a5cef0038ULL},
+};
+
+constexpr std::string_view kPaperPrefix = "paper:";
+
+bool is_paper(std::string_view name) { return name.starts_with(kPaperPrefix); }
+
+const mig::Mig& pinned_graph(const std::string& name) {
+  static std::map<std::string, mig::Mig> graphs;
+  auto it = graphs.find(name);
+  if (it == graphs.end()) {
+    const auto& suite = is_paper(name) ? bench::paper_suite() : bench::mini_suite();
+    const auto key = is_paper(name) ? name.substr(kPaperPrefix.size()) : name;
+    const auto spec = std::find_if(suite.begin(), suite.end(),
+                                   [&](const auto& entry) { return entry.name == key; });
+    it = graphs.emplace(name, spec->build()).first;
+  }
+  return it->second;
+}
+
+TEST(Compiler, ProgramsArePinned) {
+  for (const auto& row : kPinned) {
+    const auto& graph = pinned_graph(row.graph);
+    std::vector<std::optional<std::uint64_t>> caps{std::nullopt};
+    if (!is_paper(row.graph)) {
+      caps.emplace_back(6);
+    }
+    util::Fnv1a64 hash;
+    for (const auto* alloc : kPinnedAllocators) {
+      for (const auto cap : caps) {
+        const CompilerOptions options(util::PolicySpec::parse(row.select),
+                                      util::PolicySpec::parse(alloc), cap);
+        fold_outcome(hash, PlimCompiler(options).compile(graph));
+      }
+    }
+    EXPECT_EQ(hash.digest(), row.digest)
+        << "{\"" << row.graph << "\", \"" << row.select << "\", 0x"
+        << std::hex << hash.digest() << "ULL},";
+  }
 }
 
 }  // namespace

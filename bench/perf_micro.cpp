@@ -20,10 +20,6 @@
 #include "pass/seq.hpp"
 #include "plim/compiler.hpp"
 #include "plim/controller.hpp"
-#include "store/disk_store.hpp"
-#include "store/serialize.hpp"
-#include "util/codec.hpp"
-#include "util/mmap_file.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -275,15 +271,14 @@ BENCHMARK(BM_FlowBatchWarmProgramCache)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// Private scratch directory of this process: concurrent perf_micro runs
-/// (and unrelated directories of a similar name) are never clobbered by the
+/// Private store directory of this process: concurrent perf_micro runs (and
+/// unrelated directories of a similar name) are never clobbered by the
 /// remove_all calls below.
-std::filesystem::path perf_scratch_dir(const std::string& name) {
-  return std::filesystem::temp_directory_path() /
-         ("rlim_perf_" + name + "_" + std::to_string(::getpid()));
+std::string perf_store_dir() {
+  return (std::filesystem::temp_directory_path() /
+          ("rlim_perf_store_" + std::to_string(::getpid())))
+      .string();
 }
-
-std::string perf_store_dir() { return perf_scratch_dir("store").string(); }
 
 // Cold disk store: every iteration starts from an empty store, so the
 // pipeline work runs in full *plus* the write-through serialization. The
@@ -330,61 +325,6 @@ void BM_FlowBatchWarmDiskStore(benchmark::State& state) {
 BENCHMARK(BM_FlowBatchWarmDiskStore)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-// Decode throughput of the store's bulk MIG payload: bytes → validated
-// arena graph (adopt_raw), the dominant work of a disk hit after the frame
-// is mapped. Items = gates decoded.
-void BM_StoreDeserializeMig(benchmark::State& state) {
-  const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));
-  util::ByteWriter out;
-  store::encode(out, graph);
-  const auto bytes = out.take();
-  for (auto _ : state) {
-    util::ByteReader in(bytes);
-    benchmark::DoNotOptimize(store::decode_mig(in));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          graph.num_gates());
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes.size()));
-}
-BENCHMARK(BM_StoreDeserializeMig)->Arg(64)->Arg(128)->Unit(benchmark::kMicrosecond);
-
-// Map + authenticate one on-disk entry: mmap (or fallback read), magic /
-// version / whole-frame FNV check, zero-copy key+payload views. This is the
-// fixed per-entry cost a disk hit pays before any decoding.
-void BM_StoreMapValidate(benchmark::State& state) {
-  const auto dir = perf_scratch_dir("entry");
-  std::filesystem::remove_all(dir);
-  const auto& graph = adder_graph(64);
-  store::IoScratch scratch;
-  {
-    store::DiskStore disk(dir.string());
-    disk.store_rewrite(graph.fingerprint(), "bench-key", graph,
-                       mig::RewriteStats{}, &scratch);
-  }
-  const auto name =
-      store::entry_file_name(store::EntryKind::Rewrite, graph.fingerprint(),
-                             "bench-key");
-  const auto path = store::objects_dir(dir) / name.substr(0, 2) / name;
-  std::uint64_t frame_bytes = 0;
-  for (auto _ : state) {
-    util::MmapFile file;
-    store::EntryView view;
-    const auto status = store::read_entry_view(path, file, view,
-                                               &scratch.read_buffer);
-    if (status != store::EntryStatus::Ok) {
-      state.SkipWithError("entry failed validation");
-      break;
-    }
-    frame_bytes = file.bytes().size();
-    benchmark::DoNotOptimize(view.payload.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(frame_bytes));
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_StoreMapValidate)->Unit(benchmark::kMicrosecond);
 
 // Cost of the config front-end itself: spec parse (registry validation
 // included) + canonical key rendering — the per-job key path of the cache.

@@ -1,5 +1,7 @@
 #include "flow/wire.hpp"
 
+#include <algorithm>
+#include <set>
 #include <utility>
 
 #include "core/config.hpp"
@@ -199,72 +201,51 @@ void decode_ping(std::string_view bytes) {
   in.expect_end();
 }
 
+// Stats payload: u8 has_store | u32 count | count x (str name, u64 value).
+// The storeless variant leaves the Store rows out.
+
 std::string encode(const StatsReply& stats) {
   auto out = frame_header(MessageKind::Stats);
-  out.u64(stats.submitted)
-      .u64(stats.completed)
-      .u64(stats.executed)
-      .u64(stats.coalesced)
-      .u64(stats.cancelled)
-      .u64(stats.rewrite_hits)
-      .u64(stats.rewrite_misses)
-      .u64(stats.program_hits)
-      .u64(stats.program_misses);
   out.u8(stats.has_store ? 1 : 0);
-  if (stats.has_store) {
-    out.u64(stats.store_rewrite_loads)
-        .u64(stats.store_program_loads)
-        .u64(stats.store_load_misses)
-        .u64(stats.store_stores)
-        .u64(stats.store_failures)
-        .u64(stats.store_evicted_corrupt)
-        .u64(stats.store_evicted_version);
+  const auto shipped = [&](const StatsMetric& metric) {
+    return stats.has_store || metric.group != StatsGroup::Store;
+  };
+  out.u32(static_cast<std::uint32_t>(
+      std::count_if(kStatsMetrics.begin(), kStatsMetrics.end(), shipped)));
+  for (const auto& metric : kStatsMetrics) {
+    if (shipped(metric)) {
+      out.str(metric.name).u64(stats.*metric.field);
+    }
   }
-  out.u32(stats.workers);
-  out.u64(stats.sched_queue_depth)
-      .u64(stats.sched_stolen)
-      .u64(stats.sched_parks)
-      .u64(stats.sched_overflows)
-      .u64(stats.sched_forked)
-      .u64(stats.sched_low)
-      .u64(stats.sched_normal)
-      .u64(stats.sched_high);
   return seal(std::move(out));
 }
 
 StatsReply decode_stats(std::string_view bytes) {
   util::ByteReader in(payload_of(bytes, MessageKind::Stats));
   StatsReply stats;
-  stats.submitted = in.u64();
-  stats.completed = in.u64();
-  stats.executed = in.u64();
-  stats.coalesced = in.u64();
-  stats.cancelled = in.u64();
-  stats.rewrite_hits = in.u64();
-  stats.rewrite_misses = in.u64();
-  stats.program_hits = in.u64();
-  stats.program_misses = in.u64();
   const auto has_store = in.u8();
   require(has_store <= 1, "wire: bad StatsReply store tag");
   stats.has_store = has_store == 1;
-  if (stats.has_store) {
-    stats.store_rewrite_loads = in.u64();
-    stats.store_program_loads = in.u64();
-    stats.store_load_misses = in.u64();
-    stats.store_stores = in.u64();
-    stats.store_failures = in.u64();
-    stats.store_evicted_corrupt = in.u64();
-    stats.store_evicted_version = in.u64();
+  // The smallest entry is a u32 name length, one name byte and the u64.
+  constexpr std::size_t kMinEntryBytes = 4 + 1 + 8;
+  const auto count = in.u32();
+  require(count <= in.remaining() / kMinEntryBytes,
+          "wire: StatsReply metric count exceeds the frame");
+  std::set<std::string_view> seen;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const auto name = in.str_view();
+    require(!name.empty(), "wire: StatsReply metric without a name");
+    require(seen.insert(name).second,
+            "wire: StatsReply metric '" + std::string(name) + "' repeated");
+    const auto value = in.u64();
+    // Unknown names come from a newer shard: skip them.
+    const auto metric =
+        std::find_if(kStatsMetrics.begin(), kStatsMetrics.end(),
+                     [&](const StatsMetric& m) { return m.name == name; });
+    if (metric != kStatsMetrics.end()) {
+      stats.*metric->field = value;
+    }
   }
-  stats.workers = in.u32();
-  stats.sched_queue_depth = in.u64();
-  stats.sched_stolen = in.u64();
-  stats.sched_parks = in.u64();
-  stats.sched_overflows = in.u64();
-  stats.sched_forked = in.u64();
-  stats.sched_low = in.u64();
-  stats.sched_normal = in.u64();
-  stats.sched_high = in.u64();
   in.expect_end();
   return stats;
 }

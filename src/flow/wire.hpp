@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -21,14 +22,16 @@ namespace rlim::flow::wire {
 /// replay, fingerprint check, config re-parse), so a damaged or stale frame
 /// throws rlim::Error instead of decoding into a wrong object.
 ///
-/// kWireVersion covers the framing and every payload layout below; it is
-/// bumped together with store::kFormatVersion whenever a shared layout
-/// changes, so two processes either agree on the bytes or refuse loudly.
+/// kWireVersion covers the framing and every payload layout below, so two
+/// processes either agree on the bytes or refuse loudly. It moves together
+/// with store::kFormatVersion only when a layout the two share changes
+/// (JobResult payloads reuse the store encoders); the Stats payload is
+/// self-describing, so a new shard metric bumps neither.
 
 inline constexpr std::string_view kMagic = "RLWM";
 // v4: per-pass RewriteStats; v5: JobSpec priority/deadline + StatsReply
-// scheduler gauges.
-inline constexpr std::uint32_t kWireVersion = 5;
+// scheduler gauges; v6: Stats payload became a list of named metrics.
+inline constexpr std::uint32_t kWireVersion = 6;
 
 /// Ceiling a frame consumer should enforce on any untrusted length prefix
 /// *before* allocating or resizing a buffer — an absurd u32 from a damaged
@@ -95,11 +98,15 @@ struct JobSpec {
 };
 
 /// Health snapshot of one serving shard: the Service's lifetime counters,
-/// the two cache levels' hit/miss counts, and — when a persistent store is
-/// attached — its disk-tier counters. Everything a fleet monitor needs to
-/// tell a hot shard (disk hits) from a cold or thrashing one, shipped as
-/// the response to a Ping frame and printed by `rlim stats --connect`.
+/// the two cache levels' hit/miss counts, the disk-tier counters when a
+/// persistent store is attached, and the work-stealing scheduler's gauges.
+/// Everything a fleet monitor needs to tell a hot shard (disk hits) from a
+/// cold or thrashing one, shipped as the response to a Ping frame and
+/// printed by `rlim stats --connect`. Every u64 field is one row of
+/// kStatsMetrics below; net::Server::stats_reply() fills them.
 struct StatsReply {
+  // Serving-side shape.
+  std::uint64_t workers = 0;
   // flow::ServiceStats, field for field.
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -120,11 +127,8 @@ struct StatsReply {
   std::uint64_t store_failures = 0;
   std::uint64_t store_evicted_corrupt = 0;
   std::uint64_t store_evicted_version = 0;
-  // Serving-side shape.
-  std::uint32_t workers = 0;
-  // sched::SchedulerStats gauges (wire v5): how the shard's work-stealing
-  // scheduler is coping. queue_depth is a point-in-time gauge; the rest are
-  // lifetime counters. sched_low/normal/high count accepted tasks per
+  // sched::SchedulerStats: queue_depth is a point-in-time gauge; the rest
+  // are lifetime counters. sched_low/normal/high count accepted tasks per
   // priority band.
   std::uint64_t sched_queue_depth = 0;
   std::uint64_t sched_stolen = 0;
@@ -138,12 +142,70 @@ struct StatsReply {
   bool operator==(const StatsReply&) const = default;
 };
 
+/// The `rlim stats` block a metric renders in: Store rows only when some
+/// shard has a disk tier, Sched rows only when some gauge is nonzero.
+enum class StatsGroup : std::uint8_t { Core, Store, Sched };
+
+/// One shard metric: its name is both its wire key and its `rlim stats`
+/// row label.
+struct StatsMetric {
+  std::string_view name;
+  std::uint64_t StatsReply::*field;
+  StatsGroup group;
+};
+
+/// Every shard metric, in `rlim stats` row order — the one place a metric
+/// is named. Adding one is a StatsReply field, a row here and a fill line in
+/// net::Server::stats_reply(); the wire version stays, because the decoder
+/// skips names it does not know and leaves absent ones at 0.
+inline constexpr std::array kStatsMetrics = {
+    StatsMetric{"workers", &StatsReply::workers, StatsGroup::Core},
+    StatsMetric{"submitted", &StatsReply::submitted, StatsGroup::Core},
+    StatsMetric{"completed", &StatsReply::completed, StatsGroup::Core},
+    StatsMetric{"executed", &StatsReply::executed, StatsGroup::Core},
+    StatsMetric{"coalesced", &StatsReply::coalesced, StatsGroup::Core},
+    StatsMetric{"cancelled", &StatsReply::cancelled, StatsGroup::Core},
+    StatsMetric{"rewrite hits", &StatsReply::rewrite_hits, StatsGroup::Core},
+    StatsMetric{"rewrite misses", &StatsReply::rewrite_misses,
+                StatsGroup::Core},
+    StatsMetric{"program hits", &StatsReply::program_hits, StatsGroup::Core},
+    StatsMetric{"program misses", &StatsReply::program_misses,
+                StatsGroup::Core},
+    StatsMetric{"store rewrite loads", &StatsReply::store_rewrite_loads,
+                StatsGroup::Store},
+    StatsMetric{"store program loads", &StatsReply::store_program_loads,
+                StatsGroup::Store},
+    StatsMetric{"store load misses", &StatsReply::store_load_misses,
+                StatsGroup::Store},
+    StatsMetric{"store stores", &StatsReply::store_stores, StatsGroup::Store},
+    StatsMetric{"store failures", &StatsReply::store_failures,
+                StatsGroup::Store},
+    StatsMetric{"store evicted corrupt", &StatsReply::store_evicted_corrupt,
+                StatsGroup::Store},
+    StatsMetric{"store evicted version", &StatsReply::store_evicted_version,
+                StatsGroup::Store},
+    StatsMetric{"sched queue depth", &StatsReply::sched_queue_depth,
+                StatsGroup::Sched},
+    StatsMetric{"sched stolen", &StatsReply::sched_stolen, StatsGroup::Sched},
+    StatsMetric{"sched parks", &StatsReply::sched_parks, StatsGroup::Sched},
+    StatsMetric{"sched overflows", &StatsReply::sched_overflows,
+                StatsGroup::Sched},
+    StatsMetric{"sched forked", &StatsReply::sched_forked, StatsGroup::Sched},
+    StatsMetric{"sched jobs low", &StatsReply::sched_low, StatsGroup::Sched},
+    StatsMetric{"sched jobs normal", &StatsReply::sched_normal,
+                StatsGroup::Sched},
+    StatsMetric{"sched jobs high", &StatsReply::sched_high,
+                StatsGroup::Sched},
+};
+
 /// Encodes one message into a framed byte string.
 [[nodiscard]] std::string encode(const JobSpec& spec);
 /// JobResult frames carry error-or-payload: a failed job ships only its
 /// error string; a successful one ships RewriteStats, the EnduranceReport
 /// (program included), and — when present — the prepared graph.
 [[nodiscard]] std::string encode(const JobResult& result);
+/// Stats frames carry has_store plus a count-prefixed list of (name, u64)
+/// pairs, one per kStatsMetrics row (Store rows only when has_store).
 [[nodiscard]] std::string encode(const StatsReply& stats);
 /// A Ping frame (empty payload).
 [[nodiscard]] std::string encode_ping();
@@ -155,6 +217,8 @@ struct StatsReply {
 /// Decoders: authenticate, check the kind, decode, reject trailing bytes.
 [[nodiscard]] JobSpec decode_job_spec(std::string_view frame);
 [[nodiscard]] JobResult decode_job_result(std::string_view frame);
+/// Rejects a count larger than the bytes present, an empty name and a
+/// repeated name; skips unknown names and leaves absent metrics at 0.
 [[nodiscard]] StatsReply decode_stats(std::string_view frame);
 /// Authenticates a Ping frame (throws on anything else).
 void decode_ping(std::string_view frame);

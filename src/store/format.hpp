@@ -21,9 +21,10 @@ inline constexpr std::string_view kMagic = "RLIM";
 /// v4: RewriteStats gained the per-pass telemetry breakdown
 /// (count-prefixed list of named PassStats records).
 /// v5: no store payload layout changed, but flow::wire v5 (JobSpec
-/// priority/deadline, StatsReply scheduler gauges) bumped in lockstep per
-/// the shared-version convention — v4 entries are evicted and recomputed
-/// on first touch.
+/// priority/deadline, StatsReply scheduler gauges) bumped in lockstep —
+/// v4 entries are evicted and recomputed on first touch. Since then the
+/// two versions move together only when a layout they share changes
+/// (flow::wire v6 reshaped the Stats payload and left this at 5).
 inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// What an entry file holds. Part of the content address, so the two cache

@@ -117,7 +117,13 @@ mig::RewriteStats decode_rewrite_stats(util::ByteReader& in) {
   stats.final_complement_edges = in.u64();
   stats.cycles_run = static_cast<int>(in.u32());
   stats.total_applications = in.u64();
-  stats.per_pass.resize(in.u32());
+  // Smallest record: a u32 name length and six u64 fields. Checking the
+  // count first keeps a forged one from sizing a multi-GB allocation.
+  constexpr std::size_t kMinPassBytes = 4 + 6 * 8;
+  const auto passes = in.u32();
+  require(passes <= in.remaining() / kMinPassBytes,
+          "store: RewriteStats pass count exceeds the bytes present");
+  stats.per_pass.resize(passes);
   for (auto& pass : stats.per_pass) {
     pass.name = in.str();
     pass.runs = in.u64();

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -8,6 +12,9 @@
 #include "benchmarks/arithmetic.hpp"
 #include "cli.hpp"
 #include "mig/io.hpp"
+#include "net/server.hpp"
+#include "net/socket.hpp"
+#include "store/format.hpp"
 #include "test_helpers.hpp"
 
 namespace rlim::cli {
@@ -481,6 +488,129 @@ TEST(Cli, ServeUsesPersistentStore) {
   EXPECT_NE(warm.err.find("program loads 1"), std::string::npos) << warm.err;
 }
 
+// ---- network front-ends -------------------------------------------------------
+
+/// A loopback endpoint that refuses every connection while this lives:
+/// bound but never listening, so no other process can take the port over.
+struct RefusingEndpoint {
+  RefusingEndpoint() : socket(::socket(AF_INET, SOCK_STREAM, 0)) {
+    ::sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    const auto bound = ::bind(socket.get(),
+                              reinterpret_cast<const ::sockaddr*>(&addr),
+                              sizeof addr);
+    EXPECT_EQ(bound, 0);
+  }
+  [[nodiscard]] std::string to_string() const {
+    return "127.0.0.1:" + std::to_string(net::local_port(socket));
+  }
+  net::Fd socket;
+};
+
+/// Two fresh in-process shards: one with a disk store, one without.
+struct Fleet {
+  Fleet()
+      : with_store({"127.0.0.1", 0},
+                   {.jobs = 2,
+                    .cache_dir = (test::scratch_dir() / "shard").string()}),
+        storeless({"127.0.0.1", 0}, {.jobs = 2}) {}
+  [[nodiscard]] std::string connect() const {
+    return with_store.endpoint().to_string() + "," +
+           storeless.endpoint().to_string();
+  }
+  net::Server with_store;
+  net::Server storeless;
+};
+
+TEST(Cli, SubmitPrintsTheBytesOfServeStdinJobs) {
+  const std::string lines =
+      "bench:ctrl\n"
+      "bench:router naive\n"
+      "# a comment line\n"
+      "bench:int2float full,cap=50 @high:50\n"
+      "bench:ctrl select=unregistered\n";
+  const Fleet fleet;
+  const auto submitted = run_cli({"submit", "--connect", fleet.connect()},
+                                 lines);
+  const auto served = run_cli({"serve", "--stdin-jobs"}, lines);
+  EXPECT_EQ(submitted.code, 1) << "the bad line flips the exit code";
+  EXPECT_EQ(served.code, 1);
+  EXPECT_EQ(submitted.out, served.out);
+  EXPECT_NE(served.out.find("bench:int2float,"), std::string::npos)
+      << served.out;
+  EXPECT_NE(served.out.find("bench:ctrl,\"error: "), std::string::npos)
+      << served.out;
+
+  // Once the shards have run work, the scheduler block renders.
+  const auto stats =
+      run_cli({"stats", "--connect", fleet.connect(), "--format", "csv"});
+  EXPECT_EQ(stats.code, 0) << stats.err;
+  EXPECT_NE(stats.out.find("\nsched jobs normal,"), std::string::npos)
+      << stats.out;
+}
+
+TEST(Cli, StatsRendersOneColumnPerShardAndFlagsTheDeadOne) {
+  const Fleet fleet;
+  const RefusingEndpoint dead;
+  const auto store = fleet.with_store.endpoint().to_string();
+  const auto storeless = fleet.storeless.endpoint().to_string();
+  const auto result =
+      run_cli({"stats", "--connect", fleet.connect() + "," + dead.to_string(),
+               "--format", "csv", "--retries", "0"});
+  EXPECT_EQ(result.code, 1) << "an unreachable shard flips the exit code";
+  // Recorded from the CLI before the stats table was table-driven; the two
+  // `store evicted` rows were shipped but never rendered then. A fresh fleet
+  // has no sched rows.
+  const std::string table =
+      "# shard stats\n"
+      "metric," + store + "," + storeless + "," + dead.to_string() + "\n"
+      "workers,2,2,-\n"
+      "submitted,0,0,-\n"
+      "completed,0,0,-\n"
+      "executed,0,0,-\n"
+      "coalesced,0,0,-\n"
+      "cancelled,0,0,-\n"
+      "rewrite hits,0,0,-\n"
+      "rewrite misses,0,0,-\n"
+      "program hits,0,0,-\n"
+      "program misses,0,0,-\n"
+      "store rewrite loads,0,-,-\n"
+      "store program loads,0,-,-\n"
+      "store load misses,0,-,-\n"
+      "store stores,0,-,-\n"
+      "store failures,0,-,-\n"
+      "store evicted corrupt,0,-,-\n"
+      "store evicted version,0,-,-\n";
+  ASSERT_EQ(result.out.substr(0, table.size()), table) << result.out;
+  // One note line names the dead shard.
+  const auto note = result.out.substr(table.size());
+  EXPECT_EQ(note.rfind("# " + dead.to_string() + ": ", 0), 0u) << note;
+  EXPECT_NE(note.find("unreachable"), std::string::npos) << note;
+  EXPECT_EQ(note.find('\n'), note.size() - 1) << note;
+}
+
+TEST(Cli, StatsOfAStorelessFreshShardStaysShort) {
+  const net::Server shard({"127.0.0.1", 0}, {.jobs = 1});
+  const auto endpoint = shard.endpoint().to_string();
+  const auto result =
+      run_cli({"stats", "--connect", endpoint, "--format", "csv"});
+  EXPECT_EQ(result.code, 0) << result.err;
+  EXPECT_EQ(result.out,
+            "# shard stats\n"
+            "metric," + endpoint + "\n"
+            "workers,1\n"
+            "submitted,0\n"
+            "completed,0\n"
+            "executed,0\n"
+            "coalesced,0\n"
+            "cancelled,0\n"
+            "rewrite hits,0\n"
+            "rewrite misses,0\n"
+            "program hits,0\n"
+            "program misses,0\n");
+}
+
 // ---- persistent store surface -----------------------------------------------
 
 std::string fresh_cache_dir(const std::string& name) {
@@ -494,7 +624,13 @@ TEST(Cli, VersionReportsProjectAndStoreFormat) {
     const auto result = run_cli({spelling});
     EXPECT_EQ(result.code, 0) << spelling;
     EXPECT_EQ(result.out.rfind("rlim ", 0), 0u) << result.out;
-    EXPECT_NE(result.out.find("store format"), std::string::npos)
+    EXPECT_NE(result.out.find("store format " +
+                              std::to_string(store::kFormatVersion)),
+              std::string::npos)
+        << result.out;
+    EXPECT_NE(result.out.find("wire format " +
+                              std::to_string(flow::wire::kWireVersion)),
+              std::string::npos)
         << result.out;
   }
 }

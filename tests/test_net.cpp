@@ -20,6 +20,7 @@
 #include "net/router.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -279,9 +280,7 @@ TEST(NetLoopback, PingReportsServiceAndCacheCounters) {
 }
 
 TEST(NetLoopback, ShardStoreWarmsAcrossRestart) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "rlim_net_store_test";
-  std::filesystem::remove_all(dir);
+  const auto dir = test::scratch_dir() / "store";
   ServerOptions options;
   options.cache_dir = dir.string();
   {
@@ -303,7 +302,6 @@ TEST(NetLoopback, ShardStoreWarmsAcrossRestart) {
     ASSERT_TRUE(stats.has_store);
     EXPECT_GT(stats.store_program_loads, 0u);
   }
-  std::filesystem::remove_all(dir);
 }
 
 // ---- loopback: failure injection -------------------------------------------

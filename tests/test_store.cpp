@@ -125,6 +125,19 @@ TEST(StoreSerialize, RewriteStatsRoundTrip) {
   EXPECT_EQ(decoded.per_pass, stats.per_pass);  // incl. signed deltas + wall
 }
 
+TEST(StoreSerialize, ForgedPassCountIsRejectedBeforeAllocating) {
+  // A JobResult frame or store entry claiming 2^32-1 per-pass records in a
+  // few bytes must cost an rlim::Error, not a multi-GB resize.
+  util::ByteWriter out;
+  encode(out, mig::RewriteStats{});
+  auto bytes = out.take();
+  util::ByteWriter count;
+  count.u32(0xFFFFFFFFu);
+  bytes.replace(bytes.size() - 4, 4, count.bytes());
+  util::ByteReader in(bytes);
+  EXPECT_THROW(static_cast<void>(decode_rewrite_stats(in)), Error);
+}
+
 TEST(StoreSerialize, ReportRoundTripsBitExactly) {
   const auto report = sample_report();
   util::ByteWriter out;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "benchmarks/arithmetic.hpp"
@@ -242,6 +243,96 @@ TEST(FlowWire, StatsBitFlipsAreRejected) {
     EXPECT_THROW(static_cast<void>(decode_stats(corrupt)), Error)
         << "flip at byte " << i << " must not decode";
   }
+}
+
+/// A Stats frame around a hand-built payload, sealed the way encode() does,
+/// so the decoder rules are reached past authentication.
+std::string stats_frame(const util::ByteWriter& payload) {
+  util::ByteWriter out;
+  out.raw(kMagic)
+      .u32(kWireVersion)
+      .u8(static_cast<std::uint8_t>(MessageKind::Stats))
+      .raw(payload.bytes());
+  out.u64(util::fnv1a64(out.bytes()));
+  return out.take();
+}
+
+TEST(FlowWire, StatsTableNamesEveryFieldOnce) {
+  // Round trips catch a field without a row; this catches two rows sharing
+  // a name or a field.
+  std::set<std::string_view> names;
+  StatsReply claimed;
+  for (const auto& metric : kStatsMetrics) {
+    EXPECT_FALSE(metric.name.empty());
+    EXPECT_TRUE(names.insert(metric.name).second) << metric.name;
+    EXPECT_EQ(claimed.*metric.field, 0u) << metric.name;
+    claimed.*metric.field = 1;
+  }
+}
+
+TEST(FlowWire, StatsUnknownNameIsSkipped) {
+  util::ByteWriter payload;
+  payload.u8(0).u32(2);
+  payload.str("metric from a newer shard").u64(99);
+  payload.str("submitted").u64(7);
+  StatsReply expected;
+  expected.submitted = 7;
+  EXPECT_EQ(decode_stats(stats_frame(payload)), expected);
+}
+
+TEST(FlowWire, StatsMissingNameDecodesAsZero) {
+  util::ByteWriter payload;
+  payload.u8(1).u32(1);
+  payload.str("store stores").u64(3);
+  StatsReply expected;
+  expected.has_store = true;
+  expected.store_stores = 3;
+  EXPECT_EQ(decode_stats(stats_frame(payload)), expected);
+
+  util::ByteWriter empty;
+  empty.u8(0).u32(0);
+  EXPECT_EQ(decode_stats(stats_frame(empty)), StatsReply{});
+}
+
+TEST(FlowWire, StatsEmptyNameIsRejected) {
+  util::ByteWriter payload;
+  payload.u8(0).u32(1);
+  payload.str("").u64(1);
+  EXPECT_THROW(static_cast<void>(decode_stats(stats_frame(payload))), Error);
+}
+
+TEST(FlowWire, StatsRepeatedNameIsRejected) {
+  for (const std::string name : {"executed", "metric from a newer shard"}) {
+    util::ByteWriter payload;
+    payload.u8(0).u32(2);
+    payload.str(name).u64(1);
+    payload.str(name).u64(2);
+    EXPECT_THROW(static_cast<void>(decode_stats(stats_frame(payload))), Error)
+        << name;
+  }
+}
+
+TEST(FlowWire, StatsCountBeyondTheFrameIsRejected) {
+  for (const std::uint32_t count : {2u, 0xFFFFFFFFu}) {
+    util::ByteWriter payload;
+    payload.u8(0).u32(count);
+    payload.str("submitted").u64(1);
+    // Refused up front, not by running out of bytes mid-list.
+    try {
+      static_cast<void>(decode_stats(stats_frame(payload)));
+      ADD_FAILURE() << "count " << count << " must not decode";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("metric count"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(FlowWire, StatsBadStoreTagIsRejected) {
+  util::ByteWriter payload;
+  payload.u8(2).u32(0);
+  EXPECT_THROW(static_cast<void>(decode_stats(stats_frame(payload))), Error);
 }
 
 // ---- framing ----------------------------------------------------------------

@@ -590,20 +590,38 @@ int cmd_suite(const Options& options, std::ostream& out, std::ostream& err) {
   return all_verified ? 0 : 2;
 }
 
-/// One parsed job-stream line: `NETLIST [CONFIG-SPEC] [@PRIO[:DEADLINE_MS]]`.
-/// The trailing scheduling token stays raw text ('@' stripped) so parse
-/// failures surface inside the per-line error handling of serve/submit —
-/// an error row in stream position — instead of killing the stream.
-struct JobLine {
-  std::string label;
-  std::optional<std::string> config;
-  std::optional<std::string> sched;
+/// The --priority flag resolved to a default (Normal when absent).
+sched::Priority default_priority(const Options& options) {
+  return options.priority ? sched::parse_priority(*options.priority)
+                          : sched::Priority::Normal;
+}
+
+/// What a job line without its own config or `@` token runs with.
+struct JobDefaults {
+  core::PipelineConfig config;
+  sched::Priority priority = sched::Priority::Normal;
+  std::optional<std::uint64_t> deadline_ms;
 };
 
-/// Splits one job-stream line into its parts; nullopt for blank and `#`
-/// comment lines. Shared by `serve --stdin-jobs` and `submit` so the two
-/// transports accept byte-identical streams.
-std::optional<JobLine> split_job_line(const std::string& line) {
+JobDefaults job_defaults(const Options& options) {
+  return {config_from(options), default_priority(options),
+          options.deadline_ms};
+}
+
+/// One job-stream line as the by-reference JobSpec it asks for, or the
+/// reason it cannot be built (a bad config or `@` token), which becomes an
+/// error row in stream position instead of killing the stream.
+struct JobLine {
+  std::string label;
+  std::optional<flow::wire::JobSpec> spec;
+  std::string error;
+};
+
+/// Parses one `NETLIST [CONFIG-SPEC] [@PRIO[:DEADLINE_MS]]` line; nullopt
+/// for blank and `#` comment lines. Shared by `serve --stdin-jobs` and
+/// `submit` so the two transports accept byte-identical streams.
+std::optional<JobLine> parse_job_line(const std::string& line,
+                                      const JobDefaults& defaults) {
   const auto first = line.find_first_not_of(" \t\r");
   if (first == std::string::npos || line[first] == '#') {
     return std::nullopt;
@@ -611,45 +629,47 @@ std::optional<JobLine> split_job_line(const std::string& line) {
   const auto last = line.find_last_not_of(" \t\r");
   auto text = line.substr(first, last - first + 1);
 
-  JobLine item;
   // Peel the optional trailing `@...` scheduling token. Only the last
   // whitespace-separated token qualifies, so config specs stay free to
   // contain '@' should a policy ever want one.
+  std::optional<std::string> sched_token;
   const auto tail = text.find_last_of(" \t");
   if (tail != std::string::npos && text[tail + 1] == '@') {
-    item.sched = text.substr(tail + 2);
+    sched_token = text.substr(tail + 2);
     text = text.substr(0, text.find_last_not_of(" \t", tail) + 1);
   }
+  JobLine item;
+  std::optional<std::string> config;
   const auto space = text.find_first_of(" \t");
   if (space == std::string::npos) {
     item.label = std::move(text);
   } else {
     item.label = text.substr(0, space);
-    item.config = text.substr(text.find_first_not_of(" \t", space));
+    config = text.substr(text.find_first_not_of(" \t", space));
+  }
+  try {
+    auto spec = flow::wire::JobSpec::reference(
+        item.label,
+        config ? core::PipelineConfig::parse(*config) : defaults.config,
+        item.label);
+    spec.priority = defaults.priority;
+    spec.deadline_ms = defaults.deadline_ms;
+    if (sched_token) {
+      const auto colon = sched_token->find(':');
+      const auto band = sched_token->substr(0, colon);
+      spec.priority = sched::parse_priority(band);
+      if (colon != std::string::npos) {
+        spec.deadline_ms = parse_u64("@" + band + " deadline",
+                                     sched_token->substr(colon + 1));
+        require(*spec.deadline_ms > 0,
+                "@" + band + " deadline must be > 0 milliseconds");
+      }
+    }
+    item.spec = std::move(spec);
+  } catch (const std::exception& error) {
+    item.error = error.what();
   }
   return item;
-}
-
-/// Parses the body of a job line's `@PRIO[:DEADLINE_MS]` token. Throws
-/// rlim::Error for unknown priorities and malformed deadlines.
-std::pair<sched::Priority, std::optional<std::uint64_t>> parse_sched_token(
-    const std::string& body) {
-  const auto colon = body.find(':');
-  const auto priority = sched::parse_priority(body.substr(0, colon));
-  std::optional<std::uint64_t> deadline;
-  if (colon != std::string::npos) {
-    deadline = parse_u64("@" + body.substr(0, colon) + " deadline",
-                         body.substr(colon + 1));
-    require(*deadline > 0, "@" + body.substr(0, colon) +
-                               " deadline must be > 0 milliseconds");
-  }
-  return {priority, deadline};
-}
-
-/// The --priority flag resolved to a default (Normal when absent).
-sched::Priority default_priority(const Options& options) {
-  return options.priority ? sched::parse_priority(*options.priority)
-                          : sched::Priority::Normal;
 }
 
 /// Client/router knobs from the command line (defaults from ClientOptions).
@@ -743,7 +763,7 @@ int cmd_submit(const Options& options, std::istream& in, std::ostream& out,
   require(!options.format || *options.format == flow::ReportFormat::Csv,
           "submit streams CSV rows; --format " +
               flow::to_string(format_of(options)) + " cannot stream");
-  const auto default_config = config_from(options);
+  const auto defaults = job_defaults(options);
 
   /// One input line: an index into `specs`, or the parse failure pinned to
   /// the line's stream position.
@@ -756,30 +776,14 @@ int cmd_submit(const Options& options, std::istream& in, std::ostream& out,
   std::vector<flow::wire::JobSpec> specs;
   std::string line;
   while (std::getline(in, line)) {
-    const auto split = split_job_line(line);
-    if (!split) {
+    auto parsed = parse_job_line(line, defaults);
+    if (!parsed) {
       continue;
     }
-    Line item;
-    item.label = split->label;
-    try {
-      const auto config = split->config
-                              ? core::PipelineConfig::parse(*split->config)
-                              : default_config;
-      auto spec = flow::wire::JobSpec::reference(item.label, config, item.label);
-      spec.priority = default_priority(options);
-      spec.deadline_ms = options.deadline_ms;
-      if (split->sched) {
-        const auto [priority, deadline] = parse_sched_token(*split->sched);
-        spec.priority = priority;
-        if (deadline) {
-          spec.deadline_ms = deadline;
-        }
-      }
+    Line item{parsed->label, std::nullopt, parsed->error};
+    if (parsed->spec) {
       item.spec = specs.size();
-      specs.push_back(std::move(spec));
-    } catch (const std::exception& error) {
-      item.error = error.what();
+      specs.push_back(std::move(*parsed->spec));
     }
     lines.push_back(std::move(item));
   }
@@ -848,98 +852,34 @@ int cmd_stats(const Options& options, std::ostream& out) {
     }
   }
 
-  using Field = std::uint64_t (*)(const flow::wire::StatsReply&);
-  const std::pair<const char*, Field> metrics[] = {
-      {"workers", [](const flow::wire::StatsReply& r) {
-         return std::uint64_t{r.workers}; }},
-      {"submitted", [](const flow::wire::StatsReply& r) { return r.submitted; }},
-      {"completed", [](const flow::wire::StatsReply& r) { return r.completed; }},
-      {"executed", [](const flow::wire::StatsReply& r) { return r.executed; }},
-      {"coalesced", [](const flow::wire::StatsReply& r) { return r.coalesced; }},
-      {"cancelled", [](const flow::wire::StatsReply& r) { return r.cancelled; }},
-      {"rewrite hits", [](const flow::wire::StatsReply& r) {
-         return r.rewrite_hits; }},
-      {"rewrite misses", [](const flow::wire::StatsReply& r) {
-         return r.rewrite_misses; }},
-      {"program hits", [](const flow::wire::StatsReply& r) {
-         return r.program_hits; }},
-      {"program misses", [](const flow::wire::StatsReply& r) {
-         return r.program_misses; }},
-  };
-  for (const auto& [name, field] : metrics) {
-    std::vector<std::string> row{name};
-    for (const auto& reply : replies) {
-      row.push_back(reply ? std::to_string(field(*reply)) : "-");
-    }
-    doc.add_row(std::move(row));
-  }
-  // The store block renders only when some shard has a disk tier — a
-  // storeless fleet's table stays short.
-  const std::pair<const char*, Field> store_metrics[] = {
-      {"store rewrite loads", [](const flow::wire::StatsReply& r) {
-         return r.store_rewrite_loads; }},
-      {"store program loads", [](const flow::wire::StatsReply& r) {
-         return r.store_program_loads; }},
-      {"store load misses", [](const flow::wire::StatsReply& r) {
-         return r.store_load_misses; }},
-      {"store stores", [](const flow::wire::StatsReply& r) {
-         return r.store_stores; }},
-      {"store failures", [](const flow::wire::StatsReply& r) {
-         return r.store_failures; }},
-  };
+  // The store block renders only when some shard has a disk tier, and the
+  // sched block only once some gauge moved: a fresh storeless fleet's table
+  // stays short.
+  using flow::wire::StatsGroup;
   bool any_store = false;
-  for (const auto& reply : replies) {
-    any_store |= reply && reply->has_store;
-  }
-  if (any_store) {
-    for (const auto& [name, field] : store_metrics) {
-      std::vector<std::string> row{name};
-      for (const auto& reply : replies) {
-        row.push_back(reply && reply->has_store
-                          ? std::to_string(field(*reply))
-                          : "-");
-      }
-      doc.add_row(std::move(row));
-    }
-  }
-  // Scheduler gauges follow the same rule: a freshly started fleet whose
-  // shards have never queued, stolen, or parked renders the exact table of
-  // previous releases (all-zero gauges stay omitted).
-  const std::pair<const char*, Field> sched_metrics[] = {
-      {"sched queue depth", [](const flow::wire::StatsReply& r) {
-         return r.sched_queue_depth; }},
-      {"sched stolen", [](const flow::wire::StatsReply& r) {
-         return r.sched_stolen; }},
-      {"sched parks", [](const flow::wire::StatsReply& r) {
-         return r.sched_parks; }},
-      {"sched overflows", [](const flow::wire::StatsReply& r) {
-         return r.sched_overflows; }},
-      {"sched forked", [](const flow::wire::StatsReply& r) {
-         return r.sched_forked; }},
-      {"sched jobs low", [](const flow::wire::StatsReply& r) {
-         return r.sched_low; }},
-      {"sched jobs normal", [](const flow::wire::StatsReply& r) {
-         return r.sched_normal; }},
-      {"sched jobs high", [](const flow::wire::StatsReply& r) {
-         return r.sched_high; }},
-  };
   bool any_sched = false;
   for (const auto& reply : replies) {
     if (!reply) {
       continue;
     }
-    for (const auto& [name, field] : sched_metrics) {
-      any_sched |= field(*reply) != 0;
+    any_store |= reply->has_store;
+    for (const auto& metric : flow::wire::kStatsMetrics) {
+      any_sched |=
+          metric.group == StatsGroup::Sched && (*reply).*metric.field != 0;
     }
   }
-  if (any_sched) {
-    for (const auto& [name, field] : sched_metrics) {
-      std::vector<std::string> row{name};
-      for (const auto& reply : replies) {
-        row.push_back(reply ? std::to_string(field(*reply)) : "-");
-      }
-      doc.add_row(std::move(row));
+  for (const auto& metric : flow::wire::kStatsMetrics) {
+    if ((metric.group == StatsGroup::Store && !any_store) ||
+        (metric.group == StatsGroup::Sched && !any_sched)) {
+      continue;
     }
+    std::vector<std::string> row{std::string(metric.name)};
+    for (const auto& reply : replies) {
+      const bool shown =
+          reply && (metric.group != StatsGroup::Store || reply->has_store);
+      row.push_back(shown ? std::to_string((*reply).*metric.field) : "-");
+    }
+    doc.add_row(std::move(row));
   }
   flow::make_sink(format_of(options))->write(doc, out);
   return any_unreachable ? 1 : 0;
@@ -968,7 +908,7 @@ int cmd_serve(const Options& options, std::istream& in, std::ostream& out,
   require(!options.format || *options.format == flow::ReportFormat::Csv,
           "serve streams CSV rows; --format " +
               flow::to_string(format_of(options)) + " cannot stream");
-  const auto default_config = config_from(options);
+  const auto defaults = job_defaults(options);
 
   flow::Service service(
       {.jobs = options.jobs, .cache_dir = resolve_cache_dir(options)});
@@ -1015,35 +955,20 @@ int cmd_serve(const Options& options, std::istream& in, std::ostream& out,
 
   std::string line;
   while (std::getline(in, line)) {
-    const auto split = split_job_line(line);
-    if (!split) {
+    const auto parsed = parse_job_line(line, defaults);
+    if (!parsed) {
       continue;
     }
     Pending item;
-    item.label = split->label;
-    try {
-      flow::Job job;
-      job.source = flow::Source::netlist(item.label);
-      job.label = item.label;
-      job.config = split->config ? core::PipelineConfig::parse(*split->config)
-                                 : default_config;
-      job.priority = default_priority(options);
-      if (options.deadline_ms) {
-        job.deadline = std::chrono::milliseconds(
-            static_cast<std::int64_t>(*options.deadline_ms));
+    item.label = parsed->label;
+    item.submit_error = parsed->error;
+    if (parsed->spec) {
+      try {
+        item.ticket = service.submit(parsed->spec->to_job());
+        ++accepted;
+      } catch (const std::exception& error) {
+        item.submit_error = error.what();
       }
-      if (split->sched) {
-        const auto [priority, deadline] = parse_sched_token(*split->sched);
-        job.priority = priority;
-        if (deadline) {
-          job.deadline = std::chrono::milliseconds(
-              static_cast<std::int64_t>(*deadline));
-        }
-      }
-      item.ticket = service.submit(std::move(job));
-      ++accepted;
-    } catch (const std::exception& error) {
-      item.submit_error = error.what();
     }
     pending.push_back(std::move(item));
     flush_ready(/*block=*/false);
@@ -1364,11 +1289,13 @@ int cmd_cache(const Options& options, std::ostream& out) {
 #define RLIM_VERSION "unknown"
 #endif
 
-/// Project + on-disk format version, so a mismatching store ("why does my
-/// CI sweep recompile everything?") is diagnosable from the field.
+/// Project, on-disk and wire format versions, so a mismatching store ("why
+/// does my CI sweep recompile everything?") or a shard that refuses a
+/// client's frames is diagnosable from the field.
 int cmd_version(std::ostream& out) {
   out << "rlim " << RLIM_VERSION << " (store format "
-      << store::kFormatVersion << ")\n";
+      << store::kFormatVersion << ", wire format "
+      << flow::wire::kWireVersion << ")\n";
   return 0;
 }
 

@@ -51,7 +51,7 @@ namespace rlim::cli {
 ///                                           policies
 ///   cache   stats|gc|clear|verify         — maintain the persistent
 ///                                           pipeline store (see --cache-dir)
-///   version (or --version)                — project + store format version
+///   version (or --version)                — project, store + wire format
 ///
 /// Options:
 ///   --strategy naive|plim21|min-write|endurance-rewrite|full (compile, suite)
